@@ -11,6 +11,7 @@ from conftest import run_once
 
 from repro.core.knowtrans import KnowTrans
 from repro.core.skc.lorahub import LoRAHubConfig, lorahub_search
+from repro.eval.harness import evaluate_method
 from repro.knowledge.seed import seed_knowledge
 from repro.tasks.base import get_task
 
@@ -36,9 +37,13 @@ def test_lorahub_ablation(benchmark, ctx, record_result):
                 model, splits.test.examples, seed_knowledge(splits.task),
                 splits.test,
             )
-            skc = KnowTrans(bundle, config=ctx.config, use_akb=False).fit(
-                splits
-            ).evaluate(splits.test.examples)
+            skc = evaluate_method(
+                KnowTrans(bundle, config=ctx.config, use_akb=False).fit(
+                    splits
+                ),
+                splits.test.examples,
+                splits.task,
+            )
             rows.append((dataset_id, lorahub, skc))
         return rows
 

@@ -275,11 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(dense vs rank-space frozen-backbone SKC stage-3 fit)",
     )
     perf.add_argument(
-        "--shm", action="store_true",
-        help="run the zero-copy transport benchmark "
-        "(pickle payloads vs shared-memory arena + result slabs)",
-    )
-    perf.add_argument(
         "--serve", action="store_true",
         help="run the serving benchmark (sequential per-request dispatch "
         "vs multi-tenant continuous batching through the real server)",
@@ -821,34 +816,6 @@ def _cmd_perf(args: argparse.Namespace, console: Console) -> int:
             console.set("ok", False)
             return 1
         console.result("train benchmark OK")
-        console.set("ok", True)
-        return 0
-
-    if args.shm:
-        from .perf import render_shm_benchmark, run_shm_benchmark
-
-        result = run_shm_benchmark(seed=args.seed, repeats=args.repeats)
-        console.result(render_shm_benchmark(result))
-        console.set("benchmark", result)
-        failures = [
-            label
-            for label, ok in (
-                ("results diverged", result["predictions_identical"]),
-                ("2-shard merge diverged", result["sharded_identical"]),
-                ("segments leaked", not result["leaked_segments"]),
-                (
-                    "segments leaked after crash",
-                    not result["crash_leaked_segments"],
-                ),
-                ("worker crash not surfaced", result["crash_raised"]),
-            )
-            if not ok
-        ]
-        if failures:
-            console.error("shm benchmark FAILED: " + "; ".join(failures))
-            console.set("ok", False)
-            return 1
-        console.result("shm benchmark OK")
         console.set("ok", True)
         return 0
 

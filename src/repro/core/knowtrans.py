@@ -10,7 +10,6 @@ inference on the novel dataset.  Ablation switches (``use_skc`` /
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -63,24 +62,6 @@ class AdaptedModel:
         return self.task.predict_batch(
             self.model, examples, self.knowledge, self.dataset
         )
-
-    def evaluate(self, examples: Sequence[Example]) -> float:
-        """Deprecated shim — score through the harness entry point.
-
-        .. deprecated:: 1.1
-            Use :func:`repro.eval.harness.evaluate_method` — the single
-            scoring call path shared by the harness, the experiments and
-            the CLI.
-        """
-        warnings.warn(
-            "AdaptedModel.evaluate is deprecated; use "
-            "repro.eval.harness.evaluate_method(model, examples, task)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..eval.harness import evaluate_method
-
-        return evaluate_method(self, examples, self.task.name)
 
 
 def _warm_eval_featurizations(model, task, examples, knowledge, dataset):

@@ -88,11 +88,11 @@ def adapt_single(
 def evaluate_method(method, examples: Sequence[Example], task: str) -> float:
     """Score any object exposing ``predict(example) -> str``.
 
-    This is the canonical scoring entry point — the experiments, the
-    CLI and the deprecated ``AdaptedModel.evaluate`` shim all route
-    through it.  Methods that also expose ``predict_batch(examples) ->
-    List[str]`` (adapted models, ICL baselines) are scored through the
-    batched inference engine; plain per-example predictors still work.
+    This is the canonical scoring entry point — the experiments and
+    the CLI both route through it.  Methods that also expose
+    ``predict_batch(examples) -> List[str]`` (adapted models, ICL
+    baselines) are scored through the batched inference engine; plain
+    per-example predictors still work.
     The actual metric dispatch is one shared call path:
     :func:`repro.tasks.metrics.score_predictions`.
     """

@@ -39,8 +39,6 @@ __all__ = [
     "render_train_benchmark",
     "run_serve_benchmark",
     "render_serve_benchmark",
-    "run_shm_benchmark",
-    "render_shm_benchmark",
     "run_workload_benchmark",
     "render_workload_benchmark",
 ]
@@ -1361,244 +1359,6 @@ def render_serve_benchmark(result: Dict) -> str:
     ]
     return "\n".join(lines)
 
-
-# ----------------------------------------------------------------------
-# Zero-copy shared-memory benchmark (shared by ``python -m repro perf
-# --shm`` and ``benchmarks/bench_perf_shm.py``)
-# ----------------------------------------------------------------------
-def _shm_workload(seed: int, tasks: int, rows: int, cols: int) -> List[Dict]:
-    """Deterministic array-heavy tasks shaped like AKB pool scoring.
-
-    Every item shares one large featurized candidate pool (the frozen
-    hot-array pattern: pickle must copy it per task, the arena places
-    it once and every blob references the same segment) plus a small
-    per-task scoring vector; the per-task compute is one matmul and a
-    top-k, so wall clock is dominated by how arguments cross the
-    process boundary.
-    """
-    from .tinylm.linalg import rng_for
-
-    pool = rng_for(seed, "shm-bench-pool").standard_normal((rows, cols))
-    items = []
-    for index in range(tasks):
-        rng = rng_for(seed, f"shm-bench-{index}")
-        items.append(
-            {
-                "features": pool,
-                "weights": rng.standard_normal(cols),
-                "k": 8,
-            }
-        )
-    return items
-
-
-def _shm_score_task(item: Dict) -> Dict:
-    """Score one candidate pool, returning compact index/score arrays."""
-    import numpy as np
-
-    scores = item["features"] @ item["weights"]
-    order = np.argsort(-scores, kind="stable")[: item["k"]]
-    return {"indices": order, "scores": scores[order]}
-
-
-def _shm_crash_task(item: Dict) -> Dict:
-    """Benchmark crash injection: hard-kill the worker mid-task."""
-    import os
-
-    if item.get("crash"):
-        os._exit(13)
-    return _shm_score_task(item)
-
-
-def _repro_segments() -> List[str]:
-    """Names of live ``repro-*`` shared-memory segments (tmpfs view)."""
-    import pathlib
-
-    shm_root = pathlib.Path("/dev/shm")
-    if not shm_root.is_dir():  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(p.name for p in shm_root.glob("*repro-*"))
-
-
-def _shm_rows_identical(a: Sequence[Dict], b: Sequence[Dict]) -> bool:
-    import numpy as np
-
-    return len(a) == len(b) and all(
-        np.array_equal(x["indices"], y["indices"])
-        and np.array_equal(x["scores"], y["scores"])
-        for x, y in zip(a, b)
-    )
-
-
-def run_shm_benchmark(
-    seed: int = 0,
-    jobs: int = 8,
-    tasks: int = 24,
-    rows: int = 600,
-    cols: int = 400,
-    repeats: int = 3,
-) -> Dict:
-    """Zero-copy shm transport vs the pickle transport, plus invariants.
-
-    Three arms run the identical workload: in-process serial (the
-    determinism oracle), the legacy pickle pool, and the shm pool —
-    both pools at ``jobs`` forced workers (``clamp=False``; on small
-    CI machines the speedup comes from eliminating serialization, not
-    from extra cores).  The result also records a 2-shard
-    claim/merge round trip over the same workload, segment-leak checks
-    after a clean exit and after an injected worker crash, and the
-    payload accounting both transports reported.
-    """
-    import json
-    import tempfile
-
-    import numpy as np
-
-    from . import shard as sharding
-    from .runtime import WorkerPool, live_segments, shm_available
-
-    items = _shm_workload(seed, tasks, rows, cols)
-    pickle_payload = sum(
-        item["features"].nbytes + item["weights"].nbytes for item in items
-    )
-
-    def timed_arm(pool: WorkerPool):
-        def run():
-            return pool.map(_shm_score_task, items)
-
-        before = {
-            key: PERF.counter(key)
-            for key in (
-                "runtime.payload_bytes",
-                "runtime.shm_payload_bytes",
-                "runtime.result_bytes",
-            )
-        }
-        seconds, arm_results = _best_of(repeats, run)
-        counters = {
-            key.split(".", 1)[1]: (PERF.counter(key) - start) // max(repeats, 1)
-            for key, start in before.items()
-        }
-        return seconds, arm_results, counters
-
-    serial_seconds, serial_results = _best_of(
-        repeats, lambda: WorkerPool(jobs=1).map(_shm_score_task, items)
-    )
-    pickle_seconds, pickle_results, pickle_counters = timed_arm(
-        WorkerPool(jobs=jobs, clamp=False, payload_mode="pickle")
-    )
-    shm_seconds, shm_results, shm_counters = timed_arm(
-        WorkerPool(jobs=jobs, clamp=False, payload_mode="shm")
-    )
-
-    # 2-shard claim/merge round trip: partition the same workload
-    # across two coordinated "shards", merge, and compare to serial.
-    cell_ids = [f"bench/task{index:02d}" for index in range(len(items))]
-    by_id = dict(zip(cell_ids, items))
-
-    def shard_compute(cell_id: str) -> Dict:
-        row = _shm_score_task(by_id[cell_id])
-        return {
-            "dataset": cell_id,
-            "indices": [int(v) for v in row["indices"]],
-            "scores": [float(v) for v in row["scores"]],
-        }
-
-    with tempfile.TemporaryDirectory(prefix="repro-shm-bench-") as grid_dir:
-        for index in (1, 2):
-            sharding.run_adapt_shard(
-                cell_ids,
-                sharding.ShardSpec(index=index, total=2),
-                grid_dir,
-                shard_compute,
-            )
-        merged = sharding.merge_shards(grid_dir)
-    merged_rows = [
-        {
-            "indices": np.asarray(row["indices"]),
-            "scores": np.asarray(row["scores"]),
-        }
-        for row in merged["rows"]
-        if row.get("dataset") in by_id
-    ]
-    sharded_identical = _shm_rows_identical(serial_results, merged_rows)
-
-    leaked = sorted(live_segments()) + _repro_segments()
-
-    # Injected crash: one task hard-kills its worker; the pool must
-    # surface the failure and the parent must still reclaim every
-    # segment it owns.
-    crash_items = [dict(items[0]), {**items[1], "crash": True}]
-    crash_raised = False
-    try:
-        WorkerPool(jobs=2, clamp=False, payload_mode="shm").map(
-            _shm_crash_task, crash_items
-        )
-    except Exception:
-        crash_raised = True
-    crash_leaked = sorted(live_segments()) + _repro_segments()
-
-    return {
-        "workload": "candidate pool scoring",
-        "tasks": tasks,
-        "rows": rows,
-        "cols": cols,
-        "jobs": jobs,
-        "repeats": repeats,
-        "shm_available": shm_available(),
-        "array_bytes": int(pickle_payload),
-        "serial": {"seconds": serial_seconds},
-        "pickle": {
-            "seconds": pickle_seconds,
-            "payload_bytes": int(pickle_counters["payload_bytes"]),
-        },
-        "shm": {
-            "seconds": shm_seconds,
-            "payload_bytes": int(shm_counters["payload_bytes"]),
-            "shm_payload_bytes": int(shm_counters["shm_payload_bytes"]),
-            "result_bytes": int(shm_counters["result_bytes"]),
-        },
-        "speedup": pickle_seconds / shm_seconds,
-        "payload_ratio": (
-            shm_counters["payload_bytes"]
-            / max(pickle_counters["payload_bytes"], 1)
-        ),
-        "predictions_identical": bool(
-            _shm_rows_identical(serial_results, pickle_results)
-            and _shm_rows_identical(serial_results, shm_results)
-        ),
-        "sharded_identical": bool(sharded_identical),
-        "leaked_segments": leaked,
-        "crash_raised": crash_raised,
-        "crash_leaked_segments": crash_leaked,
-    }
-
-
-def render_shm_benchmark(result: Dict) -> str:
-    """Format :func:`run_shm_benchmark` output for the terminal."""
-    lines = [
-        f"shm benchmark — {result['workload']} "
-        f"({result['tasks']} tasks x {result['rows']}x{result['cols']} "
-        f"f64, {result['jobs']} forced workers, best of "
-        f"{result['repeats']})",
-        f"  serial:  {result['serial']['seconds']:.3f}s",
-        f"  pickle:  {result['pickle']['seconds']:.3f}s "
-        f"({result['pickle']['payload_bytes'] / 1e6:.2f} MB pickled "
-        f"per run)",
-        f"  shm:     {result['shm']['seconds']:.3f}s "
-        f"({result['shm']['payload_bytes'] / 1e3:.2f} kB skeletons + "
-        f"{result['shm']['shm_payload_bytes'] / 1e6:.2f} MB in "
-        f"segments, {result['shm']['result_bytes'] / 1e3:.2f} kB "
-        f"results)",
-        f"  speedup: {result['speedup']:.2f}x  "
-        f"payload ratio: {result['payload_ratio']:.4%}",
-        f"  predictions identical: {result['predictions_identical']}  "
-        f"2-shard merge identical: {result['sharded_identical']}",
-        f"  leaked segments: {len(result['leaked_segments'])} clean / "
-        f"{len(result['crash_leaked_segments'])} after crash "
-        f"(crash surfaced: {result['crash_raised']})",
-    ]
-    return "\n".join(lines)
 
 # ----------------------------------------------------------------------
 # Large-workload benchmark: the ~100x table-QA generator (shared by

@@ -1,4 +1,4 @@
-"""The parallel experiment runtime — worker pool + zero-copy arrays.
+"""The parallel experiment runtime — an ordered worker pool.
 
 Every fan-out point in the pipeline (SKC stage-1 patch extraction, the
 cross-fit shadow fine-tunes, the per-dataset loops of the table/figure
@@ -17,34 +17,17 @@ abstraction instead of rolling its own multiprocessing:
   determinism tests do, to exercise the cross-process path on any
   machine).  When the multiprocessing start method is not ``fork``
   (macOS/Windows defaults), the pool falls back to serial with a
-  warning — the fork-inherited :class:`SharedRef` table and the
-  zero-copy arena both assume a forked address space.
+  warning — the fork-inherited :class:`SharedRef` table assumes a
+  forked address space.
 
-Zero-copy payloads and results (the shm arena)
-----------------------------------------------
-Task arguments and results used to cross the IPC boundary as pickle
-bytes, so a result carrying a shadow model paid a multi-megabyte
-serialise/copy/deserialise per task.  With ``payload_mode="shm"`` (the
-default wherever ``fork`` + ``multiprocessing.shared_memory`` are
-available) the pool pickles only the object *skeleton*: every large
-numpy array is intercepted and placed in a named shared-memory segment
-— task-argument arrays in a parent-owned :class:`ShmArena`, result
-arrays in a parent-preallocated per-task result slab the worker maps
-and writes into.  What crosses pickle is a few-byte :class:`ShmBlock`
-descriptor (segment, offset, dtype, shape, generation); the receiving
-process reconstructs a numpy view over the mapped buffer instead of
-unpickling a copy.  ``runtime.payload_bytes`` therefore collapses to
-the skeleton size, which the shm perf gate holds under 1% of the
-pickle-path baseline.
-
-Every segment is created by the *parent* and unlinked by the parent in
-a ``finally`` block, so segments never outlive the ``map`` call — even
-when a worker crashes mid-task.  Workers only ever attach; under fork
-their attach-registrations land in the parent's own resource tracker
-(whose cache is a set, so they are idempotent no-ops) and the parent's
-unlink performs the one matching unregister.  A SIGKILLed parent
-leaves cleanup to the resource tracker, which still holds the created
-segments' names.
+Payloads
+--------
+Each task argument is pickled exactly once in the parent; those bytes
+cross the pipe and feed the ``runtime.payload_bytes`` counter.  Large
+read-only state (the frozen backbone, the upstream patches) never
+rides in the payload: call sites register it with :func:`sharing` and
+send the few-byte :class:`SharedRef` tokens instead, which forked
+workers resolve against the table they inherited.
 
 Determinism contract
 --------------------
@@ -53,8 +36,8 @@ random stream inside a task derives from seeds carried in the
 arguments (``rng_for``), never from global state.  Results are returned
 in submission order.  Under that contract the pool is an execution
 detail — ``jobs=1`` and ``jobs=N`` produce bit-identical outputs
-(arrays round-trip through shared memory byte-exactly), which
-``tests/test_runtime.py`` and ``tests/test_shm.py`` enforce.
+(arrays round-trip through pickle byte-exactly), which
+``tests/test_runtime.py`` enforces.
 
 Observability
 -------------
@@ -79,13 +62,10 @@ registry ends up with whole-fleet store traffic.
 
 from __future__ import annotations
 
-import atexit
-import io
 import itertools
 import multiprocessing
 import os
 import pickle
-import struct
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -100,22 +80,13 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from . import obs
 from .perf import PERF
-
-try:  # pragma: no cover - stdlib since 3.8, but gate defensively
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover - exotic builds
-    resource_tracker = None
-    shared_memory = None
 
 __all__ = [
     "available_cpus",
     "resolve_jobs",
     "fork_available",
-    "shm_available",
     "WorkerPool",
     "SharedRef",
     "share",
@@ -123,12 +94,6 @@ __all__ = [
     "sharing",
     "resolve_shared",
     "shared_count",
-    "ShmArena",
-    "ShmBlock",
-    "ResultSlab",
-    "dumps_shared",
-    "loads_shared",
-    "live_segments",
 ]
 
 
@@ -163,20 +128,15 @@ def _start_method() -> str:
 def fork_available() -> bool:
     """Whether worker processes would inherit this address space.
 
-    The :class:`SharedRef` table and the arena's create-before-fork
-    segment handoff both assume ``fork``; under ``spawn``/``forkserver``
-    (macOS/Windows defaults) a worker starts from a fresh interpreter
-    and neither survives the crossing.
+    The :class:`SharedRef` table assumes ``fork``; under
+    ``spawn``/``forkserver`` (macOS/Windows defaults) a worker starts
+    from a fresh interpreter and the table does not survive the
+    crossing.
     """
     try:
         return _start_method() == "fork"
     except Exception:  # pragma: no cover - broken mp configuration
         return False
-
-
-def shm_available() -> bool:
-    """Whether the zero-copy shared-memory payload path can be used."""
-    return shared_memory is not None and fork_available()
 
 
 # ----------------------------------------------------------------------
@@ -295,509 +255,22 @@ def shared_count() -> int:
 
 
 # ----------------------------------------------------------------------
-# The shared-memory arena — zero-copy array transport
+# Worker-side task shim
 # ----------------------------------------------------------------------
-# Segment layout: a fixed 128-byte header followed by the array bytes.
-# The header is self-describing (magic, version, generation, dtype,
-# shape) so a mapped segment can be validated without trusting the
-# descriptor that addressed it; the generation counter is bumped on
-# every in-place overwrite of a keyed arena slot, so a stale ShmBlock
-# from before the overwrite fails loudly instead of yielding the wrong
-# array.
-_SHM_MAGIC = b"RSHM"
-_SHM_VERSION = 1
-_SHM_HEADER = 128
-_SHM_MAX_DIMS = 8
-_SHM_ALIGN = 64
-# Arrays below this many bytes stay inline in the pickle skeleton: the
-# descriptor + segment round-trip costs more than a small copy.
-_SHM_MIN_BYTES = int(os.environ.get("REPRO_SHM_MIN_BYTES", "4096") or 4096)
-
-_SEGMENT_NAMES = itertools.count()
-#: SharedMemory handles this process attached to (keyed by segment
-#: name).  An ndarray view borrows the mapped buffer, so the handle
-#: must stay alive as long as any view might — handles are closed when
-#: the owning arena/slab is destroyed, or at interpreter exit.
-_ATTACHED: Dict[str, Any] = {}
-#: Arenas/slabs owning live (created, not yet unlinked) segments.
-_LIVE_OWNERS: List[Any] = []
-
-
-def _segment_name(prefix: str) -> str:
-    return (
-        f"{prefix}-{os.getpid():x}-{next(_SEGMENT_NAMES):x}"
-        f"-{os.urandom(3).hex()}"
-    )
-
-
-def _pack_header(generation: int, dtype: np.dtype, shape: Tuple[int, ...]) -> bytes:
-    if len(shape) > _SHM_MAX_DIMS:
-        raise ValueError(
-            f"array rank {len(shape)} exceeds shm header capacity "
-            f"({_SHM_MAX_DIMS} dims)"
-        )
-    dtype_str = dtype.str.encode("ascii")
-    header = struct.pack(
-        f"<4sHHQB{len(dtype_str)}s",
-        _SHM_MAGIC,
-        _SHM_VERSION,
-        len(dtype_str),
-        generation,
-        len(shape),
-        dtype_str,
-    )
-    header += struct.pack(f"<{len(shape)}q", *shape)
-    return header.ljust(_SHM_HEADER, b"\0")
-
-
-def _unpack_header(buf) -> Tuple[int, np.dtype, Tuple[int, ...]]:
-    magic, version, dtype_len, generation, ndim = struct.unpack_from(
-        "<4sHHQB", buf, 0
-    )
-    if magic != _SHM_MAGIC or version != _SHM_VERSION:
-        raise RuntimeError(
-            "shared-memory segment header is not a repro arena block "
-            f"(magic={magic!r}, version={version})"
-        )
-    offset = struct.calcsize("<4sHHQB")
-    dtype = np.dtype(bytes(buf[offset : offset + dtype_len]).decode("ascii"))
-    shape = struct.unpack_from(f"<{ndim}q", buf, offset + dtype_len)
-    return generation, dtype, tuple(shape)
-
-
-def _attach(name: str):
-    """Map an existing segment read-write, keeping one handle per name."""
-    shm = _ATTACHED.get(name)
-    if shm is None:
-        # On CPython < 3.13 attaching re-registers the name with the
-        # resource tracker, but forked workers share the parent's
-        # tracker process and its cache is a set — the re-register is
-        # an idempotent no-op, and the parent's unlink performs the one
-        # matching unregister.  (This is why the pool insists on fork:
-        # a spawn child would register with its *own* tracker, which
-        # would then try to unlink the parent's live segment.)
-        shm = shared_memory.SharedMemory(name=name)
-        _ATTACHED[name] = shm
-    return shm
-
-
-def _detach(name: str) -> None:
-    shm = _ATTACHED.pop(name, None)
-    if shm is not None:
-        try:
-            shm.close()
-        except (OSError, BufferError):  # pragma: no cover - views alive
-            pass
-
-
-class ShmBlock:
-    """A picklable descriptor of one array in a shared-memory segment.
-
-    ``resolve()`` maps the segment and reconstructs the numpy view over
-    the mapped buffer — no bytes are copied unless ``copy=True``.  The
-    descriptor carries the dtype/shape/generation it was issued for and
-    cross-checks them against the segment's own header, so a descriptor
-    that outlived an in-place overwrite (generation bump) fails loudly.
-    """
-
-    __slots__ = ("segment", "offset", "dtype", "shape", "generation")
-
-    def __init__(
-        self,
-        segment: str,
-        offset: int,
-        dtype: str,
-        shape: Tuple[int, ...],
-        generation: int,
-    ):
-        self.segment = segment
-        self.offset = offset
-        self.dtype = dtype
-        self.shape = tuple(shape)
-        self.generation = generation
-
-    def __reduce__(self):
-        return (
-            ShmBlock,
-            (self.segment, self.offset, self.dtype, self.shape,
-             self.generation),
-        )
-
-    @property
-    def nbytes(self) -> int:
-        count = 1
-        for dim in self.shape:
-            count *= dim
-        return count * np.dtype(self.dtype).itemsize
-
-    def resolve(self, copy: bool = False) -> np.ndarray:
-        """The array this block describes, as a view over the segment.
-
-        Views are returned read-only (many processes map the same
-        bytes); pass ``copy=True`` for a private writable array.
-        """
-        shm = _attach(self.segment)
-        generation, dtype, shape = _unpack_header(
-            shm.buf[self.offset : self.offset + _SHM_HEADER]
-        )
-        if generation != self.generation:
-            raise RuntimeError(
-                f"stale ShmBlock: segment {self.segment} is at generation "
-                f"{generation}, descriptor was issued for generation "
-                f"{self.generation}"
-            )
-        if dtype != np.dtype(self.dtype) or shape != self.shape:
-            raise RuntimeError(
-                f"ShmBlock descriptor mismatch on segment {self.segment}: "
-                f"header says {dtype}{shape}, descriptor says "
-                f"{self.dtype}{self.shape}"
-            )
-        start = self.offset + _SHM_HEADER
-        view = np.frombuffer(
-            shm.buf, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
-            offset=start,
-        ).reshape(shape)
-        if copy:
-            return view.copy()
-        view.flags.writeable = False
-        return view
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ShmBlock({self.segment}@{self.offset}, {self.dtype}"
-            f"{self.shape}, gen={self.generation})"
-        )
-
-
-class ShmArena:
-    """Parent-owned named shared-memory segments for hot float arrays.
-
-    ``put(key, arr)`` places an array in its own named segment (header +
-    bytes) and returns a :class:`ShmBlock`; re-``put``-ing the same key
-    with an identical dtype/shape overwrites the bytes *in place* and
-    bumps the segment's generation counter, invalidating every
-    previously-issued descriptor for that key.  ``add(arr)`` is the
-    anonymous form used by the payload codec.
-
-    The creating process owns every segment: :meth:`close` (also run
-    via context-manager exit and an ``atexit`` hook) closes and unlinks
-    them all, so a clean exit — or an exception anywhere in a ``map``
-    fan-out — leaves zero ``/dev/shm`` entries behind.  Workers only
-    ever attach.
-    """
-
-    def __init__(self, prefix: str = "repro-arena"):
-        if shared_memory is None:  # pragma: no cover - exotic builds
-            raise RuntimeError(
-                "multiprocessing.shared_memory is unavailable"
-            )
-        self.prefix = prefix
-        self._segments: Dict[str, Any] = {}  # key -> SharedMemory
-        self._blocks: Dict[str, ShmBlock] = {}
-        self._generations: Dict[str, int] = {}
-        self._anon = itertools.count()
-        self._memo: Dict[int, Tuple[ShmBlock, np.ndarray]] = {}
-        self.data_bytes = 0
-        self._closed = False
-        _LIVE_OWNERS.append(self)
-
-    # ------------------------------------------------------------------
-    def put(self, key: str, arr: np.ndarray) -> ShmBlock:
-        """Place (or in-place overwrite) one keyed array; returns its block."""
-        if self._closed:
-            raise RuntimeError("arena is closed")
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.hasobject:
-            raise TypeError("object-dtype arrays cannot live in shared memory")
-        shm = self._segments.get(key)
-        if shm is not None:
-            block = self._blocks[key]
-            if block.dtype != arr.dtype.str or block.shape != arr.shape:
-                raise ValueError(
-                    f"arena slot {key!r} holds {block.dtype}{block.shape}; "
-                    f"cannot overwrite with {arr.dtype.str}{arr.shape} — "
-                    "use a new key for a differently-shaped array"
-                )
-            generation = self._generations[key] + 1
-        else:
-            shm = shared_memory.SharedMemory(
-                create=True,
-                size=_SHM_HEADER + max(arr.nbytes, 1),
-                name=_segment_name(self.prefix),
-            )
-            self._segments[key] = shm
-            generation = 0
-            self.data_bytes += arr.nbytes
-        shm.buf[:_SHM_HEADER] = _pack_header(generation, arr.dtype, arr.shape)
-        shm.buf[_SHM_HEADER : _SHM_HEADER + arr.nbytes] = arr.tobytes()
-        self._generations[key] = generation
-        block = ShmBlock(shm.name, 0, arr.dtype.str, arr.shape, generation)
-        self._blocks[key] = block
-        return block
-
-    def add(self, arr: np.ndarray) -> ShmBlock:
-        """Place an anonymous array (payload codec path).
-
-        Placements are memoised by object identity for the arena's
-        lifetime: the same ndarray appearing in many task payloads — a
-        frozen backbone, a shared candidate pool — occupies one segment
-        and every blob references the same block.  The memo pins a
-        strong reference, so ``id`` cannot be recycled while the arena
-        is open; mutating a memoised array between ``dumps_shared``
-        calls on the same arena is not supported (use :meth:`put` with
-        a key to overwrite in place).
-        """
-        cached = self._memo.get(id(arr))
-        if cached is not None and cached[1] is arr:
-            return cached[0]
-        block = self.put(f"__anon{next(self._anon)}", arr)
-        self._memo[id(arr)] = (block, arr)
-        return block
-
-    def block(self, key: str) -> ShmBlock:
-        """The current descriptor for a keyed slot."""
-        return self._blocks[key]
-
-    def generation(self, key: str) -> int:
-        return self._generations[key]
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close and unlink every owned segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for shm in self._segments.values():
-            _ATTACHED.pop(shm.name, None)
-            try:
-                shm.close()
-            except (OSError, BufferError):  # pragma: no cover
-                pass
-            try:
-                shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-        self._segments.clear()
-        self._blocks.clear()
-        self._generations.clear()
-        self._memo.clear()
-        if self in _LIVE_OWNERS:
-            _LIVE_OWNERS.remove(self)
-
-    def __enter__(self) -> "ShmArena":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-    def __del__(self):  # pragma: no cover - backstop, close() is the path
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class ResultSlab:
-    """A parent-preallocated segment that one worker writes results into.
-
-    Result arrays used to come home as pickle bytes; with a slab the
-    worker maps the parent's segment and appends each array (header +
-    bytes, 64-byte aligned) directly into shared memory, returning only
-    compact :class:`ShmBlock` descriptors.  The parent owns the segment
-    and unlinks it as soon as the result is read, so a crashed worker
-    can never leak one.  tmpfs pages are allocated lazily, so a
-    generous ``capacity`` costs address space, not memory.
-    """
-
-    def __init__(self, capacity: int, prefix: str = "repro-slab"):
-        if shared_memory is None:  # pragma: no cover - exotic builds
-            raise RuntimeError(
-                "multiprocessing.shared_memory is unavailable"
-            )
-        self.capacity = capacity
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=capacity, name=_segment_name(prefix)
-        )
-        self._cursor = 0
-        self._destroyed = False
-        _LIVE_OWNERS.append(self)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    # -- writer side (runs in the worker over an attached mapping) -----
-    @staticmethod
-    def append(name: str, cursor: int, arr: np.ndarray) -> Tuple[Optional[ShmBlock], int]:
-        """Write one array at ``cursor``; returns (block, new_cursor).
-
-        Returns ``(None, cursor)`` when the slab is full — the caller
-        falls back to inline pickling for that array.
-        """
-        shm = _attach(name)
-        arr = np.ascontiguousarray(arr)
-        start = (cursor + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
-        end = start + _SHM_HEADER + arr.nbytes
-        if arr.dtype.hasobject or end > shm.size:
-            return None, cursor
-        shm.buf[start : start + _SHM_HEADER] = _pack_header(
-            0, arr.dtype, arr.shape
-        )
-        shm.buf[start + _SHM_HEADER : end] = arr.tobytes()
-        return ShmBlock(name, start, arr.dtype.str, arr.shape, 0), end
-
-    # -- owner side -----------------------------------------------------
-    def destroy(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        if self._destroyed:
-            return
-        self._destroyed = True
-        _ATTACHED.pop(self._shm.name, None)
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover
-            pass
-        try:
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover
-            pass
-        if self in _LIVE_OWNERS:
-            _LIVE_OWNERS.remove(self)
-
-    def __del__(self):  # pragma: no cover - backstop, destroy() is the path
-        try:
-            self.destroy()
-        except Exception:
-            pass
-
-
-def live_segments() -> List[str]:
-    """Names of shm segments this process currently owns (leak checks)."""
-    names: List[str] = []
-    for owner in _LIVE_OWNERS:
-        if isinstance(owner, ShmArena):
-            names.extend(shm.name for shm in owner._segments.values())
-        elif isinstance(owner, ResultSlab):
-            names.append(owner._shm.name)
-    return names
-
-
-@atexit.register
-def _cleanup_at_exit() -> None:  # pragma: no cover - interpreter exit
-    for owner in list(_LIVE_OWNERS):
-        try:
-            owner.close() if isinstance(owner, ShmArena) else owner.destroy()
-        except Exception:
-            pass
-    for name in list(_ATTACHED):
-        _detach(name)
-
-
-# ----------------------------------------------------------------------
-# The arena codec — pickle the skeleton, map the arrays
-# ----------------------------------------------------------------------
-class _ArenaPickler(pickle.Pickler):
-    """Pickles an object graph, diverting large arrays to shared memory.
-
-    ``sink`` is either a :class:`ShmArena` (task-argument side: each
-    array gets its own parent-owned segment) or a ``[name, cursor]``
-    slab state (result side: the worker appends into the parent's
-    preallocated slab).  Arrays below the size threshold — and anything
-    a slab has no room for — stay inline, so the blob alone is always
-    sufficient to rebuild the object.
-    """
-
-    def __init__(self, buffer, sink, threshold: int = _SHM_MIN_BYTES):
-        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self._sink = sink
-        self._threshold = threshold
-
-    def persistent_id(self, obj):
-        if (
-            type(obj) is np.ndarray
-            and not obj.dtype.hasobject
-            and obj.nbytes >= self._threshold
-        ):
-            if isinstance(self._sink, ShmArena):
-                return ("repro-shm", self._sink.add(obj), obj.flags.writeable)
-            name, cursor = self._sink
-            block, cursor = ResultSlab.append(name, cursor, obj)
-            self._sink[1] = cursor
-            if block is not None:
-                return ("repro-shm", block, obj.flags.writeable)
-        return None
-
-
-class _ArenaUnpickler(pickle.Unpickler):
-    """Rebuilds a codec blob, resolving block descriptors to arrays."""
-
-    def __init__(self, buffer, copy: bool):
-        super().__init__(buffer)
-        self._copy = copy
-
-    def persistent_load(self, pid):
-        tag, block, writeable = pid
-        if tag != "repro-shm":  # pragma: no cover - corrupted blob
-            raise pickle.UnpicklingError(f"unknown persistent id {tag!r}")
-        # Arrays that were writable at the sender must stay writable at
-        # the receiver (a fit mutates its weights), so they are copied
-        # out of the mapped buffer; frozen arrays can stay as views.
-        return block.resolve(copy=self._copy or writeable)
-
-
-def dumps_shared(obj: Any, sink) -> bytes:
-    """Pickle ``obj`` with every large array diverted into ``sink``."""
-    buffer = io.BytesIO()
-    _ArenaPickler(buffer, sink).dump(obj)
-    return buffer.getvalue()
-
-
-def loads_shared(blob: bytes, copy: bool = False) -> Any:
-    """Rebuild a :func:`dumps_shared` blob (``copy=True`` detaches it)."""
-    return _ArenaUnpickler(io.BytesIO(blob), copy).load()
-
-
-# ----------------------------------------------------------------------
-# Worker-side task shims
-# ----------------------------------------------------------------------
-def _run_with_perf(fn: Callable[[Any], Any], item: Any):
+def _run_pickled_task(fn: Callable[[Any], Any], blob: bytes):
     """Worker shim: run one task and ship its perf/obs snapshots home.
 
-    The resets only touch the *child* process's copies of the registries
-    (the parent's counters are untouched by fork), so each returned
-    snapshot is exactly the task's own delta even when one worker
-    process executes many tasks back to back.  The obs snapshot is
-    ``None`` whenever tracing is disabled, keeping the shim free.
+    The parent serialised the item exactly once; ``blob`` is those
+    bytes.  The resets only touch the *child* process's copies of the
+    registries (the parent's counters are untouched by fork), so each
+    returned snapshot is exactly the task's own delta even when one
+    worker process executes many tasks back to back.  The obs snapshot
+    is ``None`` whenever tracing is disabled, keeping the shim free.
     """
     PERF.reset()
     obs.worker_reset()
-    result = fn(item)
+    result = fn(pickle.loads(blob))
     return result, PERF.snapshot(), obs.worker_snapshot()
-
-
-def _run_pickled_task(fn: Callable[[Any], Any], blob: bytes):
-    """Pickle-mode shim: the parent serialised the item exactly once."""
-    return _run_with_perf(fn, pickle.loads(blob))
-
-
-def _run_shm_task(fn: Callable[[Any], Any], blob: bytes, slab_name: str):
-    """Shm-mode shim: map argument arrays in, write result arrays out."""
-    PERF.reset()
-    obs.worker_reset()
-    try:
-        item = loads_shared(blob)
-        result = fn(item)
-        result_blob = dumps_shared(result, [slab_name, 0])
-        return result_blob, PERF.snapshot(), obs.worker_snapshot()
-    finally:
-        # Drop this task's attachments so a long-lived worker does not
-        # accumulate mappings of segments the parent will soon unlink.
-        for name in list(_ATTACHED):
-            _detach(name)
 
 
 class WorkerPool:
@@ -810,30 +283,15 @@ class WorkerPool:
     clamp:
         Clamp ``jobs`` to :func:`available_cpus` (default).  Disable to
         force real worker processes regardless of core count.
-    payload_mode:
-        ``"shm"`` (zero-copy arrays through shared memory), ``"pickle"``
-        (plain bytes, the legacy path), or ``None`` to resolve from
-        ``REPRO_PAYLOAD`` and fall back to ``"shm"`` wherever it is
-        available.  Results are bit-identical either way.
-    slab_bytes:
-        Capacity of each task's preallocated result slab (shm mode).
-        tmpfs allocates lazily, so this bounds address space, not
-        memory; results that outgrow it degrade to inline pickling.
 
     A non-``fork`` start method (``spawn``/``forkserver``) forces the
     serial path with a warning: workers started from a fresh
-    interpreter cannot resolve fork-inherited :class:`SharedRef` tokens
-    or inherit arena ownership, and a cryptic resolution error deep in
-    a task is strictly worse than a loud fallback here.
+    interpreter cannot resolve fork-inherited :class:`SharedRef`
+    tokens, and a cryptic resolution error deep in a task is strictly
+    worse than a loud fallback here.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        clamp: bool = True,
-        payload_mode: Optional[str] = None,
-        slab_bytes: int = 64 * 1024 * 1024,
-    ):
+    def __init__(self, jobs: Optional[int] = None, clamp: bool = True):
         self.requested_jobs = resolve_jobs(jobs)
         effective = (
             min(self.requested_jobs, available_cpus())
@@ -843,7 +301,7 @@ class WorkerPool:
         if effective > 1 and not fork_available():
             warnings.warn(
                 "WorkerPool requires the 'fork' start method for its "
-                "shared-object and shared-memory transports; start method "
+                "shared-object table; start method "
                 f"is {_start_method()!r} — falling back to serial "
                 "execution (results are identical, just slower)",
                 RuntimeWarning,
@@ -851,18 +309,6 @@ class WorkerPool:
             )
             effective = 1
         self.effective_jobs = effective
-        if payload_mode is None:
-            payload_mode = os.environ.get("REPRO_PAYLOAD", "").strip() or None
-        if payload_mode is None:
-            payload_mode = "shm" if shm_available() else "pickle"
-        if payload_mode not in ("shm", "pickle"):
-            raise ValueError(
-                f"payload_mode must be 'shm' or 'pickle', got {payload_mode!r}"
-            )
-        if payload_mode == "shm" and not shm_available():
-            payload_mode = "pickle"
-        self.payload_mode = payload_mode
-        self.slab_bytes = slab_bytes
 
     @property
     def parallel(self) -> bool:
@@ -881,25 +327,15 @@ class WorkerPool:
             with obs.span("runtime.map", tasks=len(items), jobs=1):
                 return [fn(item) for item in items]
         workers = min(self.effective_jobs, len(items))
-        if self.payload_mode == "shm":
-            results = self._map_shm(fn, items, workers)
-        else:
-            results = self._map_pickle(fn, items, workers)
+        results = self._map_pickle(fn, items, workers)
         PERF.count("runtime.tasks", len(items))
         return results
-
-    def _executor(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-        )
 
     def _map_pickle(
         self, fn: Callable[[Any], Any], items: List[Any], workers: int
     ) -> List[Any]:
         # One serialisation per item: the same bytes that cross the IPC
-        # boundary feed the runtime.payload_bytes counter, so accounting
-        # no longer pays a second pickle.dumps pass over every argument.
+        # boundary feed the runtime.payload_bytes counter.
         blobs = [
             pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
             for item in items
@@ -910,7 +346,10 @@ class WorkerPool:
             # Child root spans re-parent under this span, so the merged
             # tree nests exactly like the serial path's.
             map_span = obs.current_span_id()
-            with self._executor(workers) as executor:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+            ) as executor:
                 futures = [
                     executor.submit(_run_pickled_task, fn, blob)
                     for blob in blobs
@@ -922,52 +361,8 @@ class WorkerPool:
                     results.append(result)
         return results
 
-    def _map_shm(
-        self, fn: Callable[[Any], Any], items: List[Any], workers: int
-    ) -> List[Any]:
-        arena = ShmArena()
-        slabs: List[ResultSlab] = []
-        results: List[Any] = []
-        try:
-            blobs = [dumps_shared(item, arena) for item in items]
-            # payload_bytes counts what actually crosses pickle — the
-            # skeleton blobs; the array bytes that moved to segments are
-            # accounted separately so the shm gate can compare the two.
-            PERF.count("runtime.payload_bytes", sum(len(b) for b in blobs))
-            PERF.count("runtime.shm_payload_bytes", arena.data_bytes)
-            with obs.span(
-                "runtime.map", tasks=len(items), jobs=workers, payload="shm"
-            ):
-                map_span = obs.current_span_id()
-                with self._executor(workers) as executor:
-                    futures = []
-                    for blob in blobs:
-                        slab = ResultSlab(self.slab_bytes)
-                        slabs.append(slab)
-                        futures.append(
-                            executor.submit(_run_shm_task, fn, blob, slab.name)
-                        )
-                    for slab, future in zip(slabs, futures):
-                        result_blob, snapshot, trace_snapshot = future.result()
-                        # copy=True detaches the result from the slab so
-                        # the segment can be unlinked immediately below.
-                        result = loads_shared(result_blob, copy=True)
-                        PERF.count(
-                            "runtime.result_bytes", len(result_blob)
-                        )
-                        PERF.merge(snapshot)
-                        obs.merge_worker(trace_snapshot, map_span)
-                        results.append(result)
-                        slab.destroy()
-        finally:
-            arena.close()
-            for slab in slabs:
-                slab.destroy()
-        return results
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"WorkerPool(requested={self.requested_jobs}, "
-            f"effective={self.effective_jobs}, "
-            f"payload={self.payload_mode})"
+            f"effective={self.effective_jobs})"
         )

@@ -503,53 +503,6 @@ class ScoringLM:
     def num_parameters(self) -> int:
         return sum(w.size for w in self.weights.values())
 
-    def weights_nbytes(self) -> int:
-        """Total bytes of the base parameter blocks (shm sizing aid)."""
-        return sum(w.nbytes for w in self.weights.values())
-
-    def export_weights(self, arena, prefix: Optional[str] = None) -> Dict[str, "object"]:
-        """Place every base parameter block into a shared-memory arena.
-
-        Returns ``{weight name -> ShmBlock}``; pass the mapping to
-        :meth:`adopt_weights` in any process of the same fork tree to
-        rebuild a model whose backbone is *mapped*, not copied.  Keys
-        are namespaced by ``prefix`` (default: the model name), so one
-        arena can host several backbones; re-exporting after a weight
-        update overwrites in place and bumps each block's generation,
-        invalidating descriptors handed out before the update.
-        """
-        prefix = prefix if prefix is not None else self.config.name
-        return {
-            name: arena.put(f"{prefix}/{name}", value)
-            for name, value in self.weights.items()
-        }
-
-    def adopt_weights(self, blocks: Dict[str, "object"]) -> None:
-        """Replace the base weights with views over shm blocks.
-
-        The adopted arrays are read-only views over the arena's mapped
-        segments — zero bytes are copied, and every adopter in the fork
-        tree reads the same physical pages.  The backbone is frozen by
-        construction afterwards: adapters still train (their parameters
-        are process-private), but a ``train_base=True`` fit fails with a
-        clear error from the trainer.  The arena owner must outlive all
-        adopters.
-        """
-        missing = set(self.weights) - set(blocks)
-        if missing:
-            raise KeyError(
-                f"adopt_weights is missing blocks for {sorted(missing)}"
-            )
-        for name in self.weights:
-            view = blocks[name].resolve()
-            if view.shape != self.weights[name].shape:
-                raise ValueError(
-                    f"shm block for {name!r} has shape {view.shape}, "
-                    f"model expects {self.weights[name].shape}"
-                )
-            self.weights[name] = view
-        self.bump_adapter_version()
-
     def clone(self, name: Optional[str] = None) -> "ScoringLM":
         """Deep copy of base weights (the adapter is *not* copied).
 

@@ -231,20 +231,6 @@ class Trainer:
         """Run the configured number of epochs over ``examples``."""
         if not examples:
             raise ValueError("cannot fit on an empty example list")
-        if self.train_base:
-            frozen_keys = [
-                name
-                for name, value in self.model.weights.items()
-                if not value.flags.writeable
-            ]
-            if frozen_keys:
-                raise RuntimeError(
-                    "train_base=True cannot update a shared-memory "
-                    f"backbone: weights {frozen_keys} are read-only views "
-                    "over an shm arena (adopt_weights).  Train an adapter "
-                    "with train_base=False, or clone() the model to get "
-                    "private writable weights."
-                )
         use_rank = self._use_rank_space()
         with obs.span(
             "trainer.fit",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import warnings
 
 import pytest
 
@@ -239,20 +238,6 @@ def test_traced_adapt_covers_all_layers(traced_adapt):
     assert {"akb.best_score", "akb.pool_size"} <= gauge_names
     # 6. eval harness
     assert "harness.evaluate" in span_names
-
-
-def test_adapted_model_evaluate_is_deprecated_shim(
-    traced_adapt, beer_splits
-):
-    _, adapted = traced_adapt
-    examples = beer_splits.test.examples
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        old = adapted.evaluate(examples)
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
-    assert old == evaluate_method(adapted, examples, adapted.task.name)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -96,11 +98,9 @@ def test_pool_clamps_to_scheduler_affinity(monkeypatch):
 def test_non_fork_start_method_falls_back_to_serial(monkeypatch):
     """Satellite regression: spawn/forkserver must not reach the pool.
 
-    A spawn-started worker re-imports from a fresh interpreter: it can
-    resolve neither fork-inherited SharedRef tokens nor arena ownership,
-    and its resource tracker would unlink the parent's live segments.
-    The pool must warn loudly and degrade to the (identical) serial
-    path instead.
+    A spawn-started worker re-imports from a fresh interpreter, so it
+    cannot resolve fork-inherited SharedRef tokens.  The pool must warn
+    loudly and degrade to the (identical) serial path instead.
     """
     import repro.runtime as runtime
 
@@ -127,6 +127,80 @@ def test_process_map_preserves_order_and_merges_perf():
     # Each worker counted into its own registry; the snapshots merged
     # home, so the parent sees all six calls.
     assert PERF.counter("test.square_calls") == before + 6
+
+
+def _score_task(item):
+    scores = item["features"] @ item["weights"]
+    order = np.argsort(-scores, kind="stable")[:4]
+    return {"indices": order, "scores": scores[order]}
+
+
+def _crash_task(item):
+    if item.get("crash"):
+        os._exit(13)
+    return _score_task(item)
+
+
+def _array_items(n=6, rows=64, cols=48, seed=7):
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal((rows, cols))
+    return [
+        {"features": shared, "weights": rng.standard_normal(cols)}
+        for __ in range(n)
+    ]
+
+
+def test_process_map_bit_identical_to_serial_on_arrays():
+    items = _array_items()
+    serial = WorkerPool(jobs=1).map(_score_task, items)
+    parallel = WorkerPool(jobs=2, clamp=False).map(_score_task, items)
+    assert len(parallel) == len(serial)
+    for reference, candidate in zip(serial, parallel):
+        assert np.array_equal(reference["indices"], candidate["indices"])
+        assert np.array_equal(reference["scores"], candidate["scores"])
+        # Results come home as private unpickled arrays the caller may
+        # mutate (a fit updates the weights it gets back).
+        assert candidate["indices"].flags.writeable
+        assert candidate["scores"].flags.writeable
+
+
+def test_pickle_map_counts_payload_from_single_serialization():
+    """payload_bytes is the real IPC byte count.
+
+    The counter must equal exactly the bytes of the one serialization
+    per item that crosses the boundary.
+    """
+    items = [{"features": np.arange(2048, dtype=np.float64), "n": i}
+             for i in range(4)]
+    expected = sum(
+        len(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
+        for item in items
+    )
+    before = PERF.counter("runtime.payload_bytes")
+    WorkerPool(jobs=2, clamp=False).map(_noop_task, items)
+    assert PERF.counter("runtime.payload_bytes") - before == expected
+
+
+def _noop_task(item):
+    return item["n"]
+
+
+def test_worker_crash_surfaces_instead_of_hanging():
+    """A worker that dies mid-task makes ``map`` raise, not hang."""
+    items = _array_items(n=4)
+    items[2] = {**items[2], "crash": True}
+
+    def hung(signum, frame):
+        raise TimeoutError("WorkerPool.map hung on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            WorkerPool(jobs=2, clamp=False).map(_crash_task, items)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_perf_merge_accumulates():
