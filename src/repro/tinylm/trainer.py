@@ -12,6 +12,7 @@ gradient clipping, and selective parameter groups:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,8 +60,16 @@ class TrainConfig:
 
 @dataclass
 class _AdamSlot:
+    """Adam moments plus two scratch buffers of the parameter's shape.
+
+    ``g`` holds the working (decayed / clipped) gradient and ``t`` the
+    intermediate products, so an update allocates nothing.
+    """
+
     m: np.ndarray
     v: np.ndarray
+    g: np.ndarray
+    t: np.ndarray
     step: int = 0
 
 
@@ -105,6 +114,13 @@ class Trainer:
     rank-space protocol; ``False`` forces the legacy dense path, and
     ``REPRO_EXACT_WEIGHTS=1`` overrides everything back to dense (the
     bit-for-bit parity oracle).
+
+    Every path shares one Adam update, :meth:`_adam_update`, which works
+    in place on per-parameter scratch buffers kept beside the moments:
+    it allocates nothing per call and stays bit-identical to the
+    allocating textbook expression (see ``docs/performance.md``).  With
+    tracing on, each step records its optimizer share as the
+    ``trainer.optimizer_ms`` histogram.
     """
 
     def __init__(
@@ -173,22 +189,50 @@ class Trainer:
         return encoded
 
     def _adam_update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
+        """One Adam step on ``param`` in place, allocating nothing.
+
+        Runs the IEEE operations of the allocating expression
+
+            g = grad + wd*param;  g = g * (clip/|g|) if clipped
+            m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            param -= lr*(m/c1) / (sqrt(v/c2) + eps)
+
+        in the same order, read left to right, into the slot's reused
+        buffers, so every float is bit-identical to it.  ``grad`` is
+        never written: ``loss_and_gradients`` shares its arrays between
+        the base and adapter paths.
+        """
         cfg = self.config
         slot = self._slots.get(key)
         if slot is None or slot.m.shape != param.shape:
-            slot = _AdamSlot(m=np.zeros_like(param), v=np.zeros_like(param))
+            slot = _AdamSlot(
+                m=np.zeros_like(param),
+                v=np.zeros_like(param),
+                g=np.empty_like(param),
+                t=np.empty_like(param),
+            )
             self._slots[key] = slot
+        m, v, t = slot.m, slot.v, slot.t
+        g = grad
         if cfg.weight_decay:
-            grad = grad + cfg.weight_decay * param
-        norm = np.linalg.norm(grad)
+            np.multiply(cfg.weight_decay, param, out=t)
+            g = np.add(grad, t, out=slot.g)
+        norm = np.linalg.norm(g)
         if cfg.grad_clip and norm > cfg.grad_clip:
-            grad = grad * (cfg.grad_clip / norm)
+            g = np.multiply(g, cfg.grad_clip / norm, out=slot.g)
         slot.step += 1
-        slot.m = cfg.beta1 * slot.m + (1 - cfg.beta1) * grad
-        slot.v = cfg.beta2 * slot.v + (1 - cfg.beta2) * grad * grad
-        m_hat = slot.m / (1 - cfg.beta1**slot.step)
-        v_hat = slot.v / (1 - cfg.beta2**slot.step)
-        param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        np.multiply(cfg.beta1, m, out=m)
+        np.add(m, np.multiply(1 - cfg.beta1, g, out=t), out=m)
+        np.multiply(cfg.beta2, v, out=v)
+        np.multiply(np.multiply(1 - cfg.beta2, g, out=t), g, out=t)
+        np.add(v, t, out=v)
+        np.divide(v, 1 - cfg.beta2**slot.step, out=t)
+        np.add(np.sqrt(t, out=t), cfg.eps, out=t)
+        # ``g`` is dead from here on, so its buffer takes the step.
+        u = np.divide(m, 1 - cfg.beta1**slot.step, out=slot.g)
+        np.multiply(cfg.learning_rate, u, out=u)
+        np.divide(u, t, out=u)
+        np.subtract(param, u, out=param)
 
     def _apply_adapter_grads(
         self, adapter_grads: Dict[str, np.ndarray]
@@ -205,26 +249,38 @@ class Trainer:
             if key in params:
                 self._adam_update("adapter/" + key, params[key], grad)
 
+    def _optimize(
+        self,
+        base_grads: Dict[str, np.ndarray],
+        adapter_grads: Dict[str, np.ndarray],
+    ) -> None:
+        """The optimizer half of a step, timed as ``trainer.optimizer_ms``."""
+        start = time.perf_counter() if obs.enabled() else None
+        for name, grad in base_grads.items():
+            self._adam_update("base/" + name, self.model.weights[name], grad)
+        self._apply_adapter_grads(adapter_grads)
+        self.model.bump_adapter_version()
+        if start is not None:
+            obs.histogram(
+                "trainer.optimizer_ms", (time.perf_counter() - start) * 1e3
+            )
+
     def step(self, batch: Sequence[EncodedExample]) -> float:
         """One optimisation step over an encoded mini-batch."""
         loss, base_grads, adapter_grads = self.model.loss_and_gradients(
             batch, train_base=self.train_base
         )
-        for name, grad in base_grads.items():
-            self._adam_update("base/" + name, self.model.weights[name], grad)
-        self._apply_adapter_grads(adapter_grads)
-        self.model.bump_adapter_version()
+        self._optimize(base_grads, adapter_grads)
         return loss
 
     def _rank_step(
         self, frozen: FrozenActivations, indices: np.ndarray
     ) -> float:
         """One optimisation step through the rank-space engine."""
-        loss, __, adapter_grads = self.model.rank_loss_and_gradients(
+        loss, base_grads, adapter_grads = self.model.rank_loss_and_gradients(
             frozen.batch(indices)
         )
-        self._apply_adapter_grads(adapter_grads)
-        self.model.bump_adapter_version()
+        self._optimize(base_grads, adapter_grads)
         return loss
 
     def fit(self, examples: Sequence[TrainingExample]) -> TrainReport:

@@ -1,8 +1,11 @@
 """Unit tests for repro.tinylm.trainer."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.tinylm.fusion import PatchFusion
 from repro.tinylm.lora import LoRAPatch
 from repro.tinylm.model import ModelConfig, ScoringLM
@@ -354,3 +357,140 @@ class TestAdamMechanics:
         assert np.linalg.norm(heavy.weights["encoder.W1"]) < np.linalg.norm(
             light.weights["encoder.W1"]
         )
+
+
+# ----------------------------------------------------------------------
+# In-place Adam against the allocating update it replaced
+# ----------------------------------------------------------------------
+@dataclass
+class _RefSlot:
+    m: np.ndarray
+    v: np.ndarray
+    step: int = 0
+
+
+class _ReferenceTrainer(Trainer):
+    """Trainer running the allocating Adam update (the exactness oracle)."""
+
+    def _adam_update(self, key, param, grad):
+        cfg = self.config
+        slot = self._slots.get(key)
+        if slot is None or slot.m.shape != param.shape:
+            slot = _RefSlot(m=np.zeros_like(param), v=np.zeros_like(param))
+            self._slots[key] = slot
+        if cfg.weight_decay:
+            grad = grad + cfg.weight_decay * param
+        norm = np.linalg.norm(grad)
+        if cfg.grad_clip and norm > cfg.grad_clip:
+            grad = grad * (cfg.grad_clip / norm)
+        slot.step += 1
+        slot.m = cfg.beta1 * slot.m + (1 - cfg.beta1) * grad
+        slot.v = cfg.beta2 * slot.v + (1 - cfg.beta2) * grad * grad
+        m_hat = slot.m / (1 - cfg.beta1**slot.step)
+        v_hat = slot.v / (1 - cfg.beta2**slot.step)
+        param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+
+
+def _tiny_model(seed=2):
+    return ScoringLM(
+        ModelConfig(name="adam-test", feature_dim=128, hidden_dim=16, seed=seed)
+    )
+
+
+def _assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+class TestInPlaceAdam:
+    """The scratch-buffer update is bit-identical and never aliases."""
+
+    @pytest.mark.parametrize("shape", [(1,), (12,), (4, 256), (24, 256)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 2e-5])
+    @pytest.mark.parametrize("grad_clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
+    def test_update_matches_reference(self, shape, weight_decay, grad_clip):
+        config = TrainConfig(weight_decay=weight_decay, grad_clip=grad_clip)
+        model = _tiny_model()
+        fast, ref = Trainer(model, config), _ReferenceTrainer(model, config)
+        rng = np.random.default_rng(sum(shape))
+        param = rng.normal(0.0, 1.0, shape)
+        ref_param = param.copy()
+        for __ in range(5):
+            grad = rng.normal(0.0, 1.0, shape)
+            before = grad.copy()
+            fast._adam_update("base/w", param, grad)
+            np.testing.assert_array_equal(grad, before)
+            ref._adam_update("base/w", ref_param, grad)
+        np.testing.assert_array_equal(param, ref_param)
+        got, want = fast._slots["base/w"], ref._slots["base/w"]
+        np.testing.assert_array_equal(got.m, want.m)
+        np.testing.assert_array_equal(got.v, want.v)
+
+    def test_equal_shape_slots_share_no_buffer(self):
+        trainer = Trainer(_tiny_model(), TrainConfig(weight_decay=2e-5))
+        rng = np.random.default_rng(0)
+        params = {k: rng.normal(size=(24, 256)) for k in ("base/W1", "base/V")}
+        for key, param in params.items():
+            trainer._adam_update(key, param, rng.normal(size=param.shape))
+        arrays = list(params.values())
+        for slot in trainer._slots.values():
+            arrays += [slot.m, slot.v, slot.g, slot.t]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_shape_change_reallocates_scratch(self):
+        model = _tiny_model()
+        fast, ref = Trainer(model), _ReferenceTrainer(model)
+        rng = np.random.default_rng(1)
+        for shape in [(4, 256), (4, 256), (24, 256)]:
+            param = rng.normal(size=shape)
+            ref_param = param.copy()
+            grad = rng.normal(size=shape)
+            fast._adam_update("base/w", param, grad)
+            ref._adam_update("base/w", ref_param, grad)
+            np.testing.assert_array_equal(param, ref_param)
+        slot = fast._slots["base/w"]
+        assert slot.step == 1
+        assert {a.shape for a in (slot.m, slot.v, slot.g, slot.t)} == {(24, 256)}
+
+    def test_base_fit_matches_reference(self):
+        config = TrainConfig(epochs=2, weight_decay=2e-5, seed=3)
+        models = [_tiny_model(), _tiny_model()]
+        Trainer(models[0], config).fit(_separable_examples(n=24))
+        _ReferenceTrainer(models[1], config).fit(_separable_examples(n=24))
+        _assert_same_arrays(models[0].weights, models[1].weights)
+
+    def test_rank_space_fit_matches_reference(self):
+        fused = []
+        for cls in (Trainer, _ReferenceTrainer):
+            model, fusion = _fused_model()
+            report = cls(
+                model, TrainConfig(epochs=2, seed=3), train_base=False
+            ).fit(_separable_examples(n=24))
+            assert report.rank_space
+            fused.append(fusion)
+        np.testing.assert_array_equal(fused[0].lambdas, fused[1].lambdas)
+        _assert_same_arrays(fused[0].parameters(), fused[1].parameters())
+
+    def test_fit_incremental_matches_reference(self):
+        stream = _separable_examples(n=24)
+        fused = []
+        for cls in (Trainer, _ReferenceTrainer):
+            model, fusion = _fused_model()
+            trainer = cls(model, TrainConfig(epochs=1, seed=3), train_base=False)
+            trainer.fit_incremental(stream[:12])
+            trainer.fit_incremental(stream[12:])
+            fused.append(fusion)
+        np.testing.assert_array_equal(fused[0].lambdas, fused[1].lambdas)
+        _assert_same_arrays(fused[0].parameters(), fused[1].parameters())
+
+    def test_traced_fit_records_optimizer_time_per_step(self):
+        tracer = obs.Tracer()
+        with obs.using_tracer(tracer):
+            report = Trainer(_tiny_model(), TrainConfig(epochs=1)).fit(
+                _separable_examples(n=8)
+            )
+        count, total = tracer.histograms[("trainer.optimizer_ms", ())][:2]
+        assert count == len(report.step_losses) and total > 0.0
