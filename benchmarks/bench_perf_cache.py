@@ -12,7 +12,7 @@ and test evaluation — twice against one artifact-store directory:
 Results are written to ``BENCH_cache.json`` at the repo root and
 appended to ``benchmarks/results/perf_trajectory.jsonl`` via the shared
 :class:`repro.perf.Gate` protocol so warm-start health is tracked
-across PRs alongside the inference and pipeline gates.
+across commits alongside the other gates'.
 
 CI smoke target::
 

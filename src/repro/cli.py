@@ -13,9 +13,9 @@ Commands
 ``conflict``
     Print the upstream gradient-conflict diagnostic (paper Fig. 1).
 ``perf``
-    Inference / pipeline / warm-start cache / rank-space training /
-    serving / streaming benchmarks plus counters; ``--all`` runs every
-    registered gate in quick preset with one summary table.
+    Inference / warm-start cache / knowledge-base / serving /
+    streaming / large-workload benchmarks plus counters; ``--all`` runs
+    every registered gate in quick preset with one summary table.
 ``stream``
     Streaming online-adaptation demo episode: prequential accuracy per
     micro-batch, drift-distance trace, KB re-seed on firing.
@@ -255,24 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats", type=int, default=3, help="timed repeats (best kept)"
     )
     perf.add_argument(
-        "--pipeline", action="store_true",
-        help="run the end-to-end pipeline benchmark "
-        "(serial per-candidate vs parallel pooled)",
-    )
-    perf.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the pipeline parallel arm "
-        "(default: REPRO_JOBS env, then 4)",
-    )
-    perf.add_argument(
         "--cache", action="store_true",
         help="run the warm-start cache benchmark "
         "(cold pipeline vs store-warm re-run)",
-    )
-    perf.add_argument(
-        "--train", action="store_true",
-        help="run the rank-space training benchmark "
-        "(dense vs rank-space frozen-backbone SKC stage-3 fit)",
     )
     perf.add_argument(
         "--serve", action="store_true",
@@ -787,38 +772,6 @@ def _cmd_perf(args: argparse.Namespace, console: Console) -> int:
         console.set("ok", True)
         return 0
 
-    if args.train:
-        from .perf import render_train_benchmark, run_train_benchmark
-
-        result = run_train_benchmark(seed=args.seed)
-        console.result(render_train_benchmark(result))
-        console.set("benchmark", result)
-        failures = [
-            label
-            for label, ok in (
-                ("step losses diverged", result["losses_match"]),
-                ("predictions diverged", result["predictions_identical"]),
-                ("metrics diverged", result["metrics_identical"]),
-                ("rank engine not engaged", result["rank"]["engaged"]),
-                (
-                    "dense weights materialized during rank fit",
-                    result["weight_materializations"] == 0,
-                ),
-                (
-                    "exact-weights oracle not deterministic",
-                    result["exact_oracle"]["deterministic"],
-                ),
-            )
-            if not ok
-        ]
-        if failures:
-            console.error("train benchmark FAILED: " + "; ".join(failures))
-            console.set("ok", False)
-            return 1
-        console.result("train benchmark OK")
-        console.set("ok", True)
-        return 0
-
     if args.serve:
         from .perf import render_serve_benchmark, run_serve_benchmark
 
@@ -942,15 +895,6 @@ def _cmd_perf(args: argparse.Namespace, console: Console) -> int:
 
         result = run_cache_benchmark(seed=args.seed, cache_dir=args.cache_dir)
         console.result(render_cache_benchmark(result))
-        console.set("benchmark", result)
-        return 0
-
-    if args.pipeline:
-        from .perf import render_pipeline_benchmark, run_pipeline_benchmark
-
-        result = run_pipeline_benchmark(seed=args.seed, jobs=args.jobs)
-        console.result(render_pipeline_benchmark(result))
-        console.info(PERF.report())
         console.set("benchmark", result)
         return 0
 

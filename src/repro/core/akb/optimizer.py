@@ -84,7 +84,6 @@ def search_knowledge(
     config: Optional[AKBConfig] = None,
     initial_knowledge: Optional[Knowledge] = None,
     scorer=None,
-    pool_scoring: bool = True,
     use_kb: Optional[bool] = None,
     kb: Optional["kb_module.KnowledgeBase"] = None,
 ) -> AKBResult:
@@ -96,14 +95,13 @@ def search_knowledge(
     passes a cross-fitted scorer so a model that interpolates its 20
     training examples still yields an informative ranking.
 
-    ``pool_scoring`` enables single-pass rounds: all unscored candidates
-    of a round are flattened into one candidate-major mega-batch through
-    the batched engine (via :func:`score_knowledge_pool`, or the
-    scorer's own ``score_pool`` method when it has one) instead of one
-    engine call per candidate.  Scores are bit-identical either way —
-    the flag exists so benchmarks can time the legacy per-candidate
-    path.  Plain-function scorers without ``score_pool`` always take
-    the per-candidate path.
+    Each round is scored in a single pass: all unscored candidates are
+    flattened into one candidate-major mega-batch through the batched
+    engine (via :func:`score_knowledge_pool`, or the scorer's own
+    ``score_pool`` method when it has one).  Plain-function scorers
+    without ``score_pool``, and rounds with a single unscored
+    candidate, score one candidate per call instead; the scores are
+    bit-identical either way.
 
     ``use_kb`` / ``kb`` attach the persistent cross-dataset knowledge
     base (:mod:`repro.knowledge.kb`): the candidate pool is seeded with
@@ -245,7 +243,7 @@ def search_knowledge(
         obs.counter("akb.candidates_scored", len(fresh))
         if not fresh:
             return
-        if pool_scoring and score_pool_fn is not None and len(fresh) > 1:
+        if score_pool_fn is not None and len(fresh) > 1:
             PERF.count("akb.pool_rounds")
             PERF.count("akb.pool_candidates", len(fresh))
             for candidate, (value, errors) in zip(

@@ -410,11 +410,6 @@ class KnowTrans:
         (``None`` defers to ``REPRO_JOBS``); passing ``pool`` directly
         overrides it (tests inject unclamped pools to force real worker
         processes).  Results are bit-identical at any job count.
-    pool_scoring:
-        Score each AKB round as one candidate-major mega-batch per
-        shadow fold instead of one engine call per candidate.  Same
-        floats either way; ``False`` reproduces the legacy per-candidate
-        timing for benchmarks.
     use_kb:
         Attach the persistent cross-dataset knowledge base
         (:mod:`repro.knowledge.kb`) to the AKB search: seed the
@@ -436,7 +431,6 @@ class KnowTrans:
         mockgpt: Optional[MockGPT] = None,
         jobs: Optional[int] = None,
         pool: Optional[WorkerPool] = None,
-        pool_scoring: bool = True,
         use_kb: Optional[bool] = None,
         kb=None,
     ):
@@ -448,7 +442,6 @@ class KnowTrans:
             temperature=self.config.akb.temperature, seed=self.config.seed
         )
         self.pool = pool if pool is not None else WorkerPool(jobs)
-        self.pool_scoring = pool_scoring
         self.use_kb = use_kb
         self.kb = kb  # explicit KnowledgeBase instance (benchmarks/tests)
 
@@ -496,7 +489,6 @@ class KnowTrans:
                 config=self.config.akb,
                 initial_knowledge=base_knowledge,
                 scorer=scorer,
-                pool_scoring=self.pool_scoring,
                 use_kb=self.use_kb,
                 kb=self.kb,
             )

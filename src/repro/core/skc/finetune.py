@@ -26,13 +26,11 @@ def few_shot_finetune(
     few_shot: Dataset,
     config: SKCConfig,
     knowledge: Optional[Knowledge] = None,
-    rank_space: Optional[bool] = None,
 ) -> TrainReport:
     """Fine-tune the attached adapter on the few-shot downstream data.
 
-    ``rank_space=None`` (default) lets the trainer auto-select the
-    frozen-backbone rank-space engine; pass ``False`` to force the
-    legacy dense path (the train benchmark's comparison arm).
+    The backbone stays frozen and the fusion speaks the rank-space
+    protocol, so the trainer runs its rank-space engine.
     """
     if model.adapter is None:
         raise ValueError("attach a fusion adapter before few-shot fine-tuning")
@@ -53,6 +51,5 @@ def few_shot_finetune(
             model,
             config.finetune_train_config(),
             train_base=False,
-            rank_space=rank_space,
         )
         return trainer.fit(examples)

@@ -1,15 +1,23 @@
-"""Lightweight performance observability for the batched inference engine.
+"""Performance observability and the shared perf-gate harnesses.
 
 A process-global :class:`PerfRegistry` collects named counters and
-wall-clock timers from the hot paths (featurization, batched scoring)
-with near-zero overhead — a dict increment per *batch*, not per
-example.  Nothing here affects numerics; the registry exists so the
-perf trajectory of the substrate can be inspected (``python -m repro
-perf``) and tracked across PRs (``benchmarks/bench_perf_inference.py``
-writes ``BENCH_inference.json``).
+wall-clock timers from the hot paths (featurization, batched scoring,
+rank-space training) with near-zero overhead — a dict increment per
+*batch*, not per example.  Nothing here affects numerics; the registry
+exists so the perf trajectory of the substrate can be inspected
+(``python -m repro perf``) and tracked across commits.
 
 Derived statistics (cache hit-rates, examples/sec) are computed at
 report time from the raw counters, never maintained incrementally.
+
+:class:`Gate` is the one protocol every ``benchmarks/bench_perf_*.py``
+gate uses to persist ``BENCH_<name>.json``, append a provenance-stamped
+row to ``benchmarks/results/perf_trajectory.jsonl`` and assert its
+floor.  The ``run_*`` / ``render_*`` pairs below are the harnesses
+shared by ``python -m repro perf`` and those gates (inference, warm
+cache, knowledge base, serving, large workloads).  The training gate
+keeps its harness in ``benchmarks/bench_perf_train.py``, because its
+dense arm is the test-side reference trainer.
 
 The module is import-light on purpose: the tinylm substrate imports it
 for instrumentation, so it must not import the substrate back at module
@@ -29,14 +37,10 @@ __all__ = [
     "Gate",
     "run_inference_benchmark",
     "render_benchmark",
-    "run_pipeline_benchmark",
-    "render_pipeline_benchmark",
     "run_cache_benchmark",
     "render_cache_benchmark",
     "run_kb_benchmark",
     "render_kb_benchmark",
-    "run_train_benchmark",
-    "render_train_benchmark",
     "run_serve_benchmark",
     "render_serve_benchmark",
     "run_workload_benchmark",
@@ -180,8 +184,8 @@ PERF = PerfRegistry()
 
 
 # ----------------------------------------------------------------------
-# The perf-gate protocol (shared by the four benchmarks/bench_perf_*.py
-# gates: one BENCH_*.json writer, one perf_trajectory.jsonl appender,
+# The perf-gate protocol (shared by every benchmarks/bench_perf_*.py
+# gate: one BENCH_*.json writer, one perf_trajectory.jsonl appender,
 # one speedup/identity assertion style)
 # ----------------------------------------------------------------------
 class Gate:
@@ -194,7 +198,8 @@ class Gate:
       ``BENCH_<name>.json`` at the repo root and (optionally) append a
       compact trajectory row to ``benchmarks/results/
       perf_trajectory.jsonl`` so the metric's history is tracked across
-      PRs;
+      commits — each row records the commit sha, UTC time, CPU count
+      and numpy version it was measured on;
     * :meth:`require` / :meth:`require_speedup` — collect failed
       invariants (identity checks, engine-engagement checks, the
       speedup floor) without aborting, so one run reports *every*
@@ -247,7 +252,11 @@ class Gate:
         return self.root / "benchmarks" / "results" / "perf_trajectory.jsonl"
 
     def write(self, **trajectory_fields) -> None:
-        """Persist the result JSON, plus a trajectory row when given."""
+        """Persist the result JSON, plus a trajectory row when given.
+
+        The row carries the given fields plus where and when they were
+        measured: see :func:`_provenance`.
+        """
         import json
 
         self.bench_json.write_text(
@@ -258,6 +267,7 @@ class Gate:
             path.parent.mkdir(parents=True, exist_ok=True)
             row = {"bench": self.name, "preset": self.preset}
             row.update(trajectory_fields)
+            row.update(_provenance(self.root))
             with path.open("a") as handle:
                 handle.write(json.dumps(row) + "\n")
 
@@ -281,6 +291,35 @@ class Gate:
         assert not self.failures, (
             f"{self.name} gate failed: " + "; ".join(self.failures)
         )
+
+
+def _provenance(root) -> Dict[str, object]:
+    """The commit, UTC time, CPU count and numpy version of a measurement.
+
+    ``commit`` is the ``HEAD`` sha of the repository at ``root``, or
+    ``None`` when git is missing or ``root`` is not a checkout.
+    """
+    import datetime
+    import os
+    import subprocess
+
+    import numpy
+
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    return {
+        "commit": commit,
+        "date": datetime.datetime.now(datetime.timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ"
+        ),
+        "cpu_count": os.cpu_count(),
+        "numpy": numpy.__version__,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -390,17 +429,15 @@ def run_inference_benchmark(
 
 
 # ----------------------------------------------------------------------
-# End-to-end pipeline benchmark (shared by ``python -m repro perf
-# --pipeline`` and ``benchmarks/bench_perf_pipeline.py``)
+# Warm-start cache benchmark (shared by ``python -m repro perf --cache``
+# and ``benchmarks/bench_perf_cache.py``)
 # ----------------------------------------------------------------------
-def _pipeline_row(args) -> Dict:
+def _pipeline_row(dataset_id: str, scale: float, seed: int, config) -> Dict:
     """One benchmark row: full KnowTrans adaptation of one dataset.
 
-    Module-level so the parallel arm can ship it to worker processes;
-    imports are deferred because :mod:`repro.perf` must stay
+    Imports are deferred because :mod:`repro.perf` must stay
     import-light (the substrate imports it back).
     """
-    dataset_id, scale, seed, config, pool_scoring = args
     from .baselines.jellyfish import get_bundle
     from .core.knowtrans import KnowTrans
     from .eval.harness import load_splits
@@ -409,9 +446,7 @@ def _pipeline_row(args) -> Dict:
         seed=seed, scale=scale, skc_config=config.skc
     )
     splits = load_splits(dataset_id, seed=seed, scale=scale)
-    adapter = KnowTrans(
-        bundle, config=config, jobs=1, pool_scoring=pool_scoring
-    )
+    adapter = KnowTrans(bundle, config=config, jobs=1)
     adapted = adapter.fit(splits)
     akb = adapted.akb_result
     from .core.akb.evaluation import task_metric
@@ -436,9 +471,8 @@ def _pipeline_config():
     """Scoring-heavy bench configuration.
 
     Light fine-tunes and a large AKB candidate budget keep Eq. 8
-    scoring — the component the pooled path accelerates — the dominant
-    cost, mirroring the paper-preset regime where the search loop
-    re-scores the validation set for every candidate.
+    scoring the dominant cost, mirroring the paper-preset regime where
+    the search loop re-scores the validation set for every candidate.
     """
     from .core.config import AKBConfig, KnowTransConfig, SKCConfig
 
@@ -453,88 +487,6 @@ def _pipeline_config():
     )
 
 
-def run_pipeline_benchmark(
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    dataset_ids: Sequence[str] = ("ed/rayyan", "dc/rayyan"),
-    scale: float = 0.45,
-) -> Dict:
-    """Time the serial per-candidate pipeline vs the parallel+pooled one.
-
-    Both arms run the identical workload — full ``KnowTrans.fit`` plus
-    test-set evaluation on each dataset (a shard of the table-bench
-    loops):
-
-    * **serial** — the historical path: rows one after another,
-      ``pool_scoring=False`` (one engine call per AKB candidate).
-    * **parallel** — per-dataset rows fan out over a
-      :class:`~repro.runtime.WorkerPool` and every AKB round scores its
-      whole candidate pool as one mega-batch per shadow fold.
-
-    The expensive shared state (bundle, SKC patches, dataset splits)
-    is prebuilt untimed, and one untimed warmup row populates the
-    featurization caches so both arms start from the same steady state.
-    Every result field (scores, AKB round history, selected knowledge,
-    test predictions) is compared across arms and reported under
-    ``results_identical`` — the speedup must come from doing the same
-    work faster, never from doing different work.
-    """
-    import os
-
-    from .baselines.jellyfish import get_bundle
-    from .eval.harness import load_splits
-    from .runtime import WorkerPool, available_cpus, resolve_jobs
-
-    if jobs is None and not os.environ.get("REPRO_JOBS", "").strip():
-        jobs = 4
-    jobs = resolve_jobs(jobs)
-    config = _pipeline_config()
-
-    # Untimed: shared state every arm reuses.
-    bundle = get_bundle(seed=seed, scale=scale, skc_config=config.skc)
-    bundle.ensure_patches()
-    for dataset_id in dataset_ids:
-        load_splits(dataset_id, seed=seed, scale=scale)
-    serial_args = [
-        (dataset_id, scale, seed, config, False) for dataset_id in dataset_ids
-    ]
-    parallel_args = [
-        (dataset_id, scale, seed, config, True) for dataset_id in dataset_ids
-    ]
-    for args in serial_args:  # warmup: populate featurization caches
-        _pipeline_row(args)
-
-    start = time.perf_counter()
-    serial_rows = [_pipeline_row(args) for args in serial_args]
-    serial_seconds = time.perf_counter() - start
-
-    pool = WorkerPool(jobs)
-    PERF.reset()
-    start = time.perf_counter()
-    parallel_rows = pool.map(_pipeline_row, parallel_args)
-    parallel_seconds = time.perf_counter() - start
-    counters = PERF.snapshot()
-
-    speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
-    return {
-        "workload": list(dataset_ids),
-        "scale": scale,
-        "requested_jobs": pool.requested_jobs,
-        "effective_jobs": pool.effective_jobs,
-        "available_cpus": available_cpus(),
-        "serial": {"seconds": serial_seconds},
-        "parallel": {"seconds": parallel_seconds},
-        "speedup": speedup,
-        "results_identical": serial_rows == parallel_rows,
-        "scores": {row["dataset"]: row["score"] for row in serial_rows},
-        "perf": counters,
-    }
-
-
-# ----------------------------------------------------------------------
-# Warm-start cache benchmark (shared by ``python -m repro perf --cache``
-# and ``benchmarks/bench_perf_cache.py``)
-# ----------------------------------------------------------------------
 def _forget_process_state() -> None:
     """Drop every in-memory cache, simulating a fresh CLI invocation.
 
@@ -589,7 +541,7 @@ def run_cache_benchmark(
             PERF.reset()
             start = time.perf_counter()
             rows = [
-                _pipeline_row((dataset_id, scale, seed, config, True))
+                _pipeline_row(dataset_id, scale, seed, config)
                 for dataset_id in dataset_ids
             ]
             seconds = time.perf_counter() - start
@@ -943,237 +895,6 @@ def render_kb_benchmark(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def render_pipeline_benchmark(result: Dict) -> str:
-    """Format :func:`run_pipeline_benchmark` output for the terminal."""
-    lines = [
-        "pipeline benchmark — " + ", ".join(result["workload"])
-        + f" (scale {result['scale']})",
-        f"  serial (per-candidate):   {result['serial']['seconds']:.3f}s",
-        f"  parallel+pooled:          {result['parallel']['seconds']:.3f}s",
-        f"  speedup:                  {result['speedup']:.2f}x",
-        f"  jobs: requested {result['requested_jobs']}, effective "
-        f"{result['effective_jobs']} ({result['available_cpus']} cpus)",
-        f"  results identical:        {result['results_identical']}",
-    ]
-    for dataset_id, score in result["scores"].items():
-        lines.append(f"  {dataset_id:<24} score {score:.2f}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Rank-space training benchmark (shared by ``python -m repro perf
-# --train`` and ``benchmarks/bench_perf_train.py``)
-# ----------------------------------------------------------------------
-def run_train_benchmark(
-    dataset_id: str = "em/abt_buy",
-    count: int = 160,
-    seed: int = 0,
-    repeats: int = 3,
-    n_patches: int = 12,
-) -> Dict:
-    """Time a frozen-backbone SKC stage-3 fit: dense vs rank-space.
-
-    The workload mirrors stage 3 exactly — a ``PatchFusion`` of
-    ``n_patches`` upstream patches plus a fresh shared patch attached to
-    a frozen backbone, fine-tuned on the few-shot split with the paper's
-    stage-3 hyperparameters.  Three arms run the identical fit from the
-    identical init:
-
-    * **dense** — ``rank_space=False``: every step materialises the
-      effective weights and routes gradients through dense ``(out, in)``
-      matrices (the historical path, minus the backward's duplicate
-      ``encoder.W2`` build which the version memo now removes).
-    * **rank** — ``rank_space=None`` (production auto-selection): frozen
-      projections cached once, every step in rank space.  Timed with the
-      perf registry captured, so the gate can assert the fit recorded
-      zero ``model.weight_materializations``.
-    * **exact oracle** — ``REPRO_EXACT_WEIGHTS=1``: disables every
-      fast-path branch (memo, λ-gradient identity, rank engine),
-      restoring the legacy dense computation bit-for-bit; run twice to
-      confirm determinism and compared against the dense arm.
-
-    Parity is reported, not assumed: per-step losses (rtol 1e-9), final
-    λ vectors, downstream test metric and argmax predictions must all
-    agree across arms — the speedup must come from associating the same
-    math differently, never from doing different math.
-    """
-    import os
-
-    from .core.akb.evaluation import task_metric
-    from .core.config import SKCConfig
-    from .core.skc.finetune import few_shot_finetune
-    from .core.skc.fusion import attach_fusion
-    from .data import generators
-    from .data.splits import split_dataset
-    from .knowledge.seed import seed_knowledge
-    from .tasks.base import get_task
-    from .tinylm.linalg import rng_for
-    from .tinylm.lora import LoRAPatch
-    from .tinylm.model import ModelConfig, ScoringLM
-
-    dataset = generators.build(dataset_id, count=count, seed=seed)
-    splits = split_dataset(dataset, few_shot=20, seed=seed)
-    few_shot = splits.few_shot
-    test = list(splits.test.examples)
-    task = get_task(dataset.task)
-    knowledge = seed_knowledge(dataset.task)
-    config = SKCConfig(seed=seed)
-
-    # Fit cost is independent of the backbone's weight values, so an
-    # untrained upstream analogue measures the same hot path without
-    # paying for pretraining; the upstream patches get seeded non-zero
-    # ``A`` factors so they contribute like trained knowledge patches.
-    upstream = ScoringLM(ModelConfig(name="bench-train", seed=seed))
-    shapes = upstream.config.target_shapes()
-    patches = []
-    for i in range(n_patches):
-        patch = LoRAPatch(
-            f"bench-up{i:02d}",
-            shapes,
-            rank=config.lora_rank,
-            alpha=config.lora_alpha,
-            seed=seed + i,
-        )
-        rng = rng_for(seed, "bench-train", patch.name)
-        for name in patch.A:
-            patch.A[name] = rng.normal(0.0, 0.02, patch.A[name].shape)
-        patches.append(patch)
-
-    def run_fit(rank_space):
-        model, fusion = attach_fusion(upstream, patches, config, name="bench")
-        report = few_shot_finetune(
-            model, few_shot, config, knowledge, rank_space=rank_space
-        )
-        return model, fusion, report
-
-    def evaluate(model):
-        prompts = [task.prompt(ex, knowledge) for ex in test]
-        pools = [task.candidates(ex, knowledge, dataset) for ex in test]
-        winners = model.predict_batch(prompts, pools)
-        predictions = [pools[i][j] for i, j in enumerate(winners)]
-        golds = [ex.answer for ex in test]
-        return task_metric(task, golds, predictions, test), predictions
-
-    run_fit(False)  # untimed warmup: featurization caches for both arms
-
-    dense_seconds, dense_out = _best_of(repeats, lambda: run_fit(False))
-    PERF.reset()
-    rank_seconds, rank_out = _best_of(repeats, lambda: run_fit(None))
-    counters = PERF.snapshot()
-
-    dense_model, dense_fusion, dense_report = dense_out
-    rank_model, rank_fusion, rank_report = rank_out
-    dense_losses = dense_report.step_losses
-    rank_losses = rank_report.step_losses
-    loss_err = max(
-        (
-            abs(a - b) / max(abs(a), 1e-30)
-            for a, b in zip(dense_losses, rank_losses)
-        ),
-        default=float("inf") if len(dense_losses) != len(rank_losses) else 0.0,
-    )
-    lambda_diff = float(
-        max(abs(dense_fusion.lambdas - rank_fusion.lambdas), default=0.0)
-    )
-
-    dense_metric, dense_preds = evaluate(dense_model)
-    rank_metric, rank_preds = evaluate(rank_model)
-
-    # Exact-weights oracle: legacy dense computation, run twice.
-    previous = os.environ.get("REPRO_EXACT_WEIGHTS")
-    os.environ["REPRO_EXACT_WEIGHTS"] = "1"
-    try:
-        __, oracle_fusion, oracle_report = run_fit(None)
-        __, oracle_fusion2, oracle_report2 = run_fit(None)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_EXACT_WEIGHTS"]
-        else:
-            os.environ["REPRO_EXACT_WEIGHTS"] = previous
-    assert not oracle_report.rank_space
-    oracle_deterministic = bool(
-        oracle_report.step_losses == oracle_report2.step_losses
-        and (oracle_fusion.lambdas == oracle_fusion2.lambdas).all()
-    )
-    oracle_err = max(
-        (
-            abs(a - b) / max(abs(a), 1e-30)
-            for a, b in zip(dense_losses, oracle_report.step_losses)
-        ),
-        default=float("inf")
-        if len(dense_losses) != len(oracle_report.step_losses)
-        else 0.0,
-    )
-
-    steps = len(rank_losses)
-    speedup = dense_seconds / rank_seconds if rank_seconds else 0.0
-    return {
-        "workload": dataset_id,
-        "few_shot_examples": len(few_shot.examples),
-        "test_examples": len(test),
-        "patches": n_patches,
-        "epochs": config.finetune_epochs,
-        "steps": steps,
-        "repeats": repeats,
-        "dense": {
-            "seconds": dense_seconds,
-            "steps_per_sec": steps / dense_seconds if dense_seconds else 0.0,
-        },
-        "rank": {
-            "seconds": rank_seconds,
-            "steps_per_sec": steps / rank_seconds if rank_seconds else 0.0,
-            "engaged": bool(rank_report.rank_space),
-        },
-        "speedup": speedup,
-        "max_step_loss_rel_err": loss_err,
-        "losses_match": loss_err <= 1e-9,
-        "lambda_max_abs_diff": lambda_diff,
-        "metrics": {"dense": dense_metric, "rank": rank_metric},
-        "metrics_identical": dense_metric == rank_metric,
-        "predictions_identical": dense_preds == rank_preds,
-        "exact_oracle": {
-            "deterministic": bool(oracle_deterministic),
-            "max_loss_rel_err_vs_dense": oracle_err,
-        },
-        "weight_materializations": int(
-            counters["counters"].get("model.weight_materializations", 0)
-        ),
-        "rank_space_steps": int(
-            counters["counters"].get("train.rank_space_steps", 0)
-        ),
-        "perf": counters,
-    }
-
-
-def render_train_benchmark(result: Dict) -> str:
-    """Format :func:`run_train_benchmark` output for the terminal."""
-    lines = [
-        f"rank-space training benchmark — {result['workload']} "
-        f"({result['patches']} fused patches, {result['steps']} steps, "
-        f"best of {result['repeats']})",
-        f"  dense fit:    {result['dense']['seconds']:.3f}s "
-        f"({result['dense']['steps_per_sec']:.0f} steps/s)",
-        f"  rank-space:   {result['rank']['seconds']:.3f}s "
-        f"({result['rank']['steps_per_sec']:.0f} steps/s, "
-        f"engaged={result['rank']['engaged']})",
-        f"  speedup:      {result['speedup']:.2f}x",
-        f"  step losses:  max rel err {result['max_step_loss_rel_err']:.2e} "
-        f"(match={result['losses_match']})",
-        f"  final λ:      max abs diff {result['lambda_max_abs_diff']:.2e}",
-        f"  test metric:  dense {result['metrics']['dense']:.4f} / "
-        f"rank {result['metrics']['rank']:.4f} "
-        f"(identical={result['metrics_identical']}, predictions "
-        f"identical={result['predictions_identical']})",
-        f"  exact oracle: deterministic="
-        f"{result['exact_oracle']['deterministic']}, vs dense rel err "
-        f"{result['exact_oracle']['max_loss_rel_err_vs_dense']:.2e}",
-        f"  materializations during rank fit: "
-        f"{result['weight_materializations']} "
-        f"(rank-space steps: {result['rank_space_steps']})",
-    ]
-    return "\n".join(lines)
-
-
 def render_benchmark(result: Dict) -> str:
     """Format :func:`run_inference_benchmark` output for the terminal."""
     lines = [
@@ -1190,6 +911,7 @@ def render_benchmark(result: Dict) -> str:
         f"  predictions identical: {result['predictions_identical']}",
     ]
     return "\n".join(lines)
+
 
 def _latency_percentile(latencies: List[float], q: float) -> float:
     """Nearest-rank percentile of a latency sample (seconds in, ms out)."""

@@ -2,7 +2,7 @@
 
 Every fan-out point in the pipeline (SKC stage-1 patch extraction, the
 cross-fit shadow fine-tunes, the per-dataset loops of the table/figure
-harness, the pipeline benchmark) runs through one :class:`WorkerPool`
+harness) runs through one :class:`WorkerPool`
 abstraction instead of rolling its own multiprocessing:
 
 * ``jobs=1`` (the default) executes tasks serially in-process — the

@@ -44,10 +44,11 @@ now-stale parameters.
 
 Determinism contract: a coalesced dispatch is bit-identical to
 dispatching each request alone — ``predict_batch`` scores every prompt
-row-independently (the batch-composition invariance the inference and
-pipeline perf gates already pin down), and grouping never reorders
-prompts within a request.  ``benchmarks/bench_perf_serve.py`` gates
-this end to end against an offline oracle.
+row-independently (the batch-composition invariance the inference
+perf gate and the tier-1 parity tests already pin down), and grouping
+never reorders prompts within a request.
+``benchmarks/bench_perf_serve.py`` gates this end to end against an
+offline oracle.
 
 Observability: every request is traced through the full path.  The
 server pre-allocates explicit span ids (:func:`repro.obs.new_span_id`)

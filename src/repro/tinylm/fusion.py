@@ -17,7 +17,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import exact_weights
 from .lora import LoRAPatch, RankComponent
 
 __all__ = ["PatchFusion"]
@@ -148,14 +147,11 @@ class PatchFusion:
         so the dense per-patch ``Δ_i`` is never formed, and the same
         ``dW @ Aᵀ`` product doubles as the patch's own ``B`` gradient.
         With neither ``train_lambdas`` nor ``train_patches`` the upstream
-        loop is skipped outright.  ``REPRO_EXACT_WEIGHTS=1`` restores the
-        historical dense reduction bit-for-bit.
+        loop is skipped outright.
         """
         grads: Dict[str, np.ndarray] = dict(
             self.new_patch.grad_wrt(weight_name, d_weight)
         )
-        if exact_weights():
-            return self._grad_wrt_dense(weight_name, d_weight, grads)
         if not (self.train_lambdas or self.train_patches):
             return grads
         lambda_grad = np.zeros_like(self.lambdas)
@@ -179,29 +175,6 @@ class PatchFusion:
                     f"{patch.name}/{weight_name}/A",
                     scale * (B.T @ d_weight),
                 )
-        if any_lambda:
-            grads[self._lambda_key] = lambda_grad
-        return grads
-
-    def _grad_wrt_dense(
-        self,
-        weight_name: str,
-        d_weight: np.ndarray,
-        grads: Dict[str, np.ndarray],
-    ) -> Dict[str, np.ndarray]:
-        """Legacy dense gradient routing (parity oracle)."""
-        lambda_grad = np.zeros_like(self.lambdas)
-        any_lambda = False
-        for i, (lam, patch) in enumerate(zip(self.lambdas, self.patches)):
-            part = patch.delta(weight_name)
-            if part is None:
-                continue
-            if self.train_lambdas:
-                lambda_grad[i] = float(np.sum(d_weight * part))
-                any_lambda = True
-            if self.train_patches:
-                for key, grad in patch.grad_wrt(weight_name, d_weight).items():
-                    self._accumulate(grads, key, lam * grad)
         if any_lambda:
             grads[self._lambda_key] = lambda_grad
         return grads

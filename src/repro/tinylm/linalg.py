@@ -8,8 +8,6 @@ costs nothing and removes a whole class of flaky-test headaches.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
@@ -23,22 +21,8 @@ __all__ = [
     "gaussian_init",
     "segment_softmax",
     "segment_logsumexp",
-    "exact_weights",
     "gram_trace",
 ]
-
-
-def exact_weights() -> bool:
-    """Whether ``REPRO_EXACT_WEIGHTS`` pins the legacy dense math.
-
-    The rank-space fast paths (factored adapter forward/backward, the
-    Frobenius trace identity, the λ-gradient identity) are numerically
-    equal to the dense formulations but associate float operations in a
-    different order, so results can differ in the last bits.  Setting
-    ``REPRO_EXACT_WEIGHTS=1`` restores the historical dense computation
-    bit-for-bit — the parity oracle the train benchmark checks against.
-    """
-    return os.environ.get("REPRO_EXACT_WEIGHTS", "").strip() not in ("", "0")
 
 
 def gram_trace(B: np.ndarray, A: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .linalg import exact_weights, gaussian_init, gram_trace, rng_for
+from .linalg import gaussian_init, gram_trace, rng_for
 
 __all__ = ["LoRAPatch", "RankComponent"]
 
@@ -166,15 +166,8 @@ class LoRAPatch:
         """Norm of the full update — a cheap "how much was learned" probe.
 
         ``‖α·B·A‖_F² = α²·trace((BᵀB)(AAᵀ))`` — two ``(r, r)`` Gram
-        matrices instead of the dense ``(out, in)`` delta.  With
-        ``REPRO_EXACT_WEIGHTS=1`` the legacy dense reduction runs
-        instead (bit-for-bit parity oracle).
+        matrices instead of the dense ``(out, in)`` delta.
         """
-        if exact_weights():
-            total = 0.0
-            for weight_name in self.B:
-                total += float(np.sum(self.delta(weight_name) ** 2))
-            return float(np.sqrt(total))
         total = 0.0
         for weight_name in self.B:
             total += self.alpha**2 * gram_trace(

@@ -43,7 +43,6 @@ import numpy as np
 from .. import obs
 from ..perf import PERF
 from .linalg import (
-    exact_weights,
     relu,
     relu_grad,
     rng_for,
@@ -438,19 +437,11 @@ class ScoringLM:
         """Base weight plus any attached adapter delta (memoized).
 
         The dense sum is built once per adapter version and reused until
-        :meth:`bump_adapter_version`; with ``REPRO_EXACT_WEIGHTS=1`` the
-        memo is bypassed and every call re-materialises, matching the
-        historical behaviour exactly.
+        :meth:`bump_adapter_version`.
         """
         base = self.weights[name]
         if self.adapter is None:
             return base
-        if exact_weights():
-            delta = self.adapter.delta(name)
-            if delta is None:
-                return base
-            PERF.count("model.weight_materializations")
-            return base + delta
         token = (self._adapter_version, id(self.adapter))
         if token != self._weight_memo_token:
             self._weight_memo = {}

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from .linalg import exact_weights, rng_for
+from .linalg import rng_for
 from .model import EncodedExample, FrozenActivations, ScoringLM
 
 __all__ = ["TrainConfig", "TrainingExample", "Trainer", "StreamState"]
@@ -105,15 +105,14 @@ class TrainReport:
 class Trainer:
     """Stateful optimiser bound to one model (and its current adapter).
 
-    ``rank_space`` selects the frozen-backbone fast path: frozen
+    The engine follows from what is trained.  A frozen backbone
+    (``train_base=False``) with an adapter that speaks the rank-space
+    protocol (``rank_components``) takes the rank-space path: frozen
     projections are computed once per :meth:`fit` dataset
     (:class:`~repro.tinylm.model.FrozenActivations`) and every step runs
     through :meth:`ScoringLM.rank_loss_and_gradients`, never building a
-    dense effective weight.  ``None`` (the default) auto-enables it
-    whenever the backbone is frozen and the attached adapter speaks the
-    rank-space protocol; ``False`` forces the legacy dense path, and
-    ``REPRO_EXACT_WEIGHTS=1`` overrides everything back to dense (the
-    bit-for-bit parity oracle).
+    dense effective weight.  Everything else — base training, or no
+    rank-protocol adapter — takes the dense step.
 
     Every path shares one Adam update, :meth:`_adam_update`, which works
     in place on per-parameter scratch buffers kept beside the moments:
@@ -128,17 +127,10 @@ class Trainer:
         model: ScoringLM,
         config: Optional[TrainConfig] = None,
         train_base: bool = True,
-        rank_space: Optional[bool] = None,
     ):
-        if rank_space and train_base:
-            raise ValueError(
-                "rank_space=True requires train_base=False "
-                "(the fast path assumes a frozen backbone)"
-            )
         self.model = model
         self.config = config or TrainConfig()
         self.train_base = train_base
-        self.rank_space = rank_space
         self._slots: Dict[str, _AdamSlot] = {}
         # The adapter whose moments the "adapter/" slots belong to.
         # Parameter keys carry only the adapter's *name*, so two patches
@@ -150,10 +142,6 @@ class Trainer:
         self.stream_state: Optional[StreamState] = None
 
     def _use_rank_space(self) -> bool:
-        if exact_weights():
-            return False
-        if self.rank_space is not None:
-            return self.rank_space
         return (
             not self.train_base
             and self.model.adapter is not None
@@ -352,7 +340,7 @@ class Trainer:
             raise RuntimeError(
                 "fit_incremental requires the rank-space path: a frozen "
                 "backbone (train_base=False) with a rank-protocol adapter "
-                "attached, and REPRO_EXACT_WEIGHTS unset"
+                "attached"
             )
         state = warm_state if warm_state is not None else self.stream_state
         if state is None:

@@ -5,12 +5,13 @@ import pytest
 
 from repro.tinylm.fusion import PatchFusion
 from repro.tinylm.lora import LoRAPatch
+from tests.reference import dense_fusion_grads
 
 SHAPES = {"encoder.W1": (6, 20)}
 
 
-def _patch(name, seed, fill=0.1):
-    patch = LoRAPatch(name, SHAPES, rank=2, seed=seed)
+def _patch(name, seed, fill=0.1, alpha=1.0):
+    patch = LoRAPatch(name, SHAPES, rank=2, seed=seed, alpha=alpha)
     patch.A["encoder.W1"] = np.full((2, 20), fill)
     return patch
 
@@ -145,25 +146,24 @@ class TestRankComponents:
 
 
 class TestRankGradIdentity:
-    """grad_wrt's rank-space path must match the legacy dense reduction."""
+    """grad_wrt's rank identity must match routing through the dense Δ_i."""
 
-    def _grads_both_ways(self, monkeypatch, **flags):
+    def _grads_both_ways(self, **flags):
         d_weight = np.random.default_rng(7).normal(0, 1, SHAPES["encoder.W1"])
-        results = []
-        for exact in ("", "1"):
-            monkeypatch.setenv("REPRO_EXACT_WEIGHTS", exact)
-            fusion = PatchFusion(
-                [_patch("a", 1), _patch("b", 2)], _patch("new", 3), **flags
-            )
-            results.append(fusion.grad_wrt("encoder.W1", d_weight))
-        monkeypatch.delenv("REPRO_EXACT_WEIGHTS")
-        return results
+        fusion = PatchFusion(
+            [_patch("a", 1, alpha=2.0), _patch("b", 2, alpha=0.5)],
+            _patch("new", 3),
+            **flags,
+        )
+        return (
+            fusion.grad_wrt("encoder.W1", d_weight),
+            dense_fusion_grads(fusion, "encoder.W1", d_weight),
+        )
 
     @pytest.mark.parametrize("train_lambdas", [True, False])
     @pytest.mark.parametrize("train_patches", [True, False])
-    def test_rank_matches_dense(self, monkeypatch, train_lambdas, train_patches):
+    def test_rank_matches_dense(self, train_lambdas, train_patches):
         rank, dense = self._grads_both_ways(
-            monkeypatch,
             initial_weight=0.3,
             train_lambdas=train_lambdas,
             train_patches=train_patches,

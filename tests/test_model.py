@@ -258,15 +258,6 @@ class TestWeightMemo:
         )
         assert fusion is not None
 
-    def test_exact_weights_bypasses_memo(self, fresh_tiny_model, monkeypatch):
-        monkeypatch.setenv("REPRO_EXACT_WEIGHTS", "1")
-        model = fresh_tiny_model
-        _fused(model)
-        first = model.effective_weight("encoder.W1")
-        second = model.effective_weight("encoder.W1")
-        assert first is not second
-        np.testing.assert_array_equal(first, second)
-
     def test_pickle_drops_memo_and_roundtrips(self, fresh_tiny_model):
         import pickle
 

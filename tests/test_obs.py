@@ -326,12 +326,63 @@ def test_gate_writes_and_checks(tmp_path, monkeypatch):
     data = json.loads((tmp_path / "BENCH_demo.json").read_text())
     assert data == {"preset": "paper", "min_speedup": 3.0, "speedup": 4.0}
     (line,) = gate.trajectory_path.read_text().splitlines()
-    assert json.loads(line) == {
+    row = json.loads(line)
+    for key in ("commit", "date", "cpu_count", "numpy"):
+        row.pop(key)  # provenance: see test_gate_row_records_provenance
+    assert row == {
         "bench": "demo", "preset": "paper", "speedup": 4.0, "extra": 1,
     }
     gate.require(True, "fine")
     gate.require_speedup()
     gate.check()  # no failures collected
+
+
+def _trajectory_row(root):
+    gate = Gate("demo", {"speedup": 2.0}, root=root)
+    gate.write(speedup=2.0)
+    (line,) = gate.trajectory_path.read_text().splitlines()
+    return json.loads(line)
+
+
+def test_gate_row_records_provenance(tmp_path):
+    """A trajectory row names the commit, time, CPUs and numpy it ran on."""
+    import datetime
+    import os
+    import shutil
+    import subprocess
+
+    import numpy
+
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(
+        git + ["commit", "-q", "--allow-empty", "-m", "root"],
+        cwd=tmp_path, check=True,
+    )
+    head = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    before = datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0)
+    row = _trajectory_row(tmp_path)
+    after = datetime.datetime.now(datetime.timezone.utc)
+    assert row["commit"] == head
+    stamp = datetime.datetime.strptime(
+        row["date"], "%Y-%m-%dT%H:%M:%SZ"
+    ).replace(tzinfo=datetime.timezone.utc)
+    assert before <= stamp <= after
+    assert row["cpu_count"] == os.cpu_count()
+    assert row["numpy"] == numpy.__version__
+    assert row["speedup"] == 2.0
+
+
+def test_gate_row_commit_is_none_without_git(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", "")  # no git executable to find
+    row = _trajectory_row(tmp_path)
+    assert row["commit"] is None
+    assert row["cpu_count"] is not None and row["date"].endswith("Z")
 
 
 def test_gate_collects_all_failures(tmp_path, monkeypatch):

@@ -97,6 +97,7 @@ class TestInstrumentation:
         from repro.tinylm.lora import LoRAPatch
         from repro.tinylm.model import ModelConfig, ScoringLM
         from repro.tinylm.trainer import TrainConfig, Trainer, TrainingExample
+        from tests.reference import DenseTrainer
 
         model = ScoringLM(
             ModelConfig(name="perf-train", feature_dim=128, hidden_dim=8, seed=0)
@@ -124,13 +125,10 @@ class TestInstrumentation:
         assert PERF.counter("train.rank_space_steps") == len(report.step_losses) > 0
         assert PERF.counter("train.frozen_builds") == 1  # once per fit, not per step
         assert PERF.counter("model.weight_materializations") == 0
-        # The dense opt-out does materialise, so the counter is live.
+        # The dense reference step does materialise, so the counter is live.
         PERF.reset()
-        Trainer(
-            model,
-            TrainConfig(epochs=1, seed=1),
-            train_base=False,
-            rank_space=False,
+        DenseTrainer(
+            model, TrainConfig(epochs=1, seed=1), train_base=False
         ).fit(examples)
         assert PERF.counter("model.weight_materializations") > 0
 

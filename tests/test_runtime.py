@@ -374,14 +374,9 @@ def test_patch_extraction_parallel_identical(bundle):
 
 
 def test_knowtrans_fit_parallel_identical(bundle, fast_config, beer_splits):
-    serial = KnowTrans(
-        bundle, config=fast_config, jobs=1, pool_scoring=False
-    ).fit(beer_splits)
+    serial = KnowTrans(bundle, config=fast_config, jobs=1).fit(beer_splits)
     parallel = KnowTrans(
-        bundle,
-        config=fast_config,
-        pool=WorkerPool(jobs=4, clamp=False),
-        pool_scoring=True,
+        bundle, config=fast_config, pool=WorkerPool(jobs=4, clamp=False)
     ).fit(beer_splits)
     assert serial.knowledge == parallel.knowledge
     assert serial.akb_result.best_score == parallel.akb_result.best_score
@@ -416,3 +411,45 @@ def test_pool_scoring_matches_per_candidate(bundle, fast_config, abt_splits):
         assert [e.prediction for e in pooled_errors] == [
             e.prediction for e in errors
         ]
+
+
+def test_search_pooled_matches_plain_function(bundle, fast_config, abt_splits):
+    """A whole AKB search gives the same result pooled or per candidate.
+
+    The cross-fit scorer scores each multi-candidate round in one pass
+    through ``score_pool``; a plain-function wrapper around the same
+    scorer has no ``score_pool``, so the search scores its candidates
+    one call at a time.
+    """
+    from dataclasses import replace
+
+    from repro.core.akb.optimizer import search_knowledge
+    from repro.llm.mockgpt import MockGPT
+
+    scorer = KnowTrans(bundle, config=fast_config, jobs=1).cross_fit_scorer(
+        abt_splits
+    )
+
+    def one_at_a_time(candidate):
+        return scorer(candidate)
+
+    config = replace(fast_config.akb, iterations=2, refinements_per_iteration=2)
+    results, pool_rounds = [], []
+    for candidate_scorer in (scorer, one_at_a_time):
+        before = PERF.counter("akb.pool_rounds")
+        results.append(
+            search_knowledge(
+                bundle.upstream_model,
+                abt_splits.few_shot,
+                abt_splits.validation.examples,
+                mockgpt=MockGPT(seed=0),
+                config=config,
+                scorer=candidate_scorer,
+                use_kb=False,
+            )
+        )
+        pool_rounds.append(PERF.counter("akb.pool_rounds") - before)
+    pooled, plain = results
+    assert pool_rounds[0] > 0 and pool_rounds[1] == 0
+    assert len(pooled.rounds) == 2
+    assert pooled == plain

@@ -10,6 +10,7 @@ from repro.tinylm.fusion import PatchFusion
 from repro.tinylm.lora import LoRAPatch
 from repro.tinylm.model import ModelConfig, ScoringLM
 from repro.tinylm.trainer import TrainConfig, Trainer, TrainingExample
+from tests.reference import DenseTrainer
 
 
 def _separable_examples(n=80, seed=0):
@@ -164,6 +165,10 @@ def _fused_model(train_lambdas=True, train_patches=True, n_patches=3, seed=5):
     return model, fusion
 
 
+#: The engine under test (rank space) and its dense reference, by flag.
+_ENGINE = {True: Trainer, False: DenseTrainer}
+
+
 class TestRankSpaceParity:
     """Rank-space engine must reproduce the dense path to rtol 1e-9."""
 
@@ -171,11 +176,8 @@ class TestRankSpaceParity:
 
     def _fit(self, rank_space, train_lambdas, train_patches, epochs=2):
         model, fusion = _fused_model(train_lambdas, train_patches)
-        trainer = Trainer(
-            model,
-            TrainConfig(epochs=epochs, seed=3),
-            train_base=False,
-            rank_space=rank_space,
+        trainer = _ENGINE[rank_space](
+            model, TrainConfig(epochs=epochs, seed=3), train_base=False
         )
         report = trainer.fit(_separable_examples(n=24))
         return model, fusion, report
@@ -209,16 +211,24 @@ class TestRankSpaceParity:
                 rank_params[key], dense_params[key], rtol=self.RTOL, atol=1e-12
             )
 
+    def test_predictions_match(self):
+        """Rank and dense fits pick the same argmax on held-out prompts."""
+        held_out = _separable_examples(n=40, seed=9)
+        prompts = [ex.prompt for ex in held_out]
+        pools = [list(ex.candidates) for ex in held_out]
+        dense_model, __, __ = self._fit(False, True, True)
+        rank_model, __, __ = self._fit(True, True, True)
+        assert list(rank_model.predict_batch(prompts, pools)) == list(
+            dense_model.predict_batch(prompts, pools)
+        )
+
     def test_lambda_trajectory_matches(self):
         """λ agrees with the dense path after every epoch, not just the end."""
         trajectories = {}
         for rank_space in (False, True):
             model, fusion = _fused_model()
-            trainer = Trainer(
-                model,
-                TrainConfig(epochs=1, seed=3),
-                train_base=False,
-                rank_space=rank_space,
+            trainer = _ENGINE[rank_space](
+                model, TrainConfig(epochs=1, seed=3), train_base=False
             )
             path = []
             for __ in range(3):
@@ -241,11 +251,8 @@ class TestRankSpaceParity:
             )
             patch = LoRAPatch("p", model.config.target_shapes(), rank=2, seed=1)
             model.attach(patch)
-            report = Trainer(
-                model,
-                TrainConfig(epochs=2, seed=3),
-                train_base=False,
-                rank_space=rank_space,
+            report = _ENGINE[rank_space](
+                model, TrainConfig(epochs=2, seed=3), train_base=False
             ).fit(examples)
             results[rank_space] = (patch.parameters(), report)
         rank_params, rank_report = results[True]
@@ -268,11 +275,8 @@ class TestRankSpaceParity:
         finals = {}
         for rank_space in (False, True):
             model, fusion_a = _fused_model(seed=5)
-            trainer = Trainer(
-                model,
-                TrainConfig(epochs=1, seed=3),
-                train_base=False,
-                rank_space=rank_space,
+            trainer = _ENGINE[rank_space](
+                model, TrainConfig(epochs=1, seed=3), train_base=False
             )
             trainer.fit(examples)
             model.detach()
@@ -290,40 +294,27 @@ class TestRankSpaceParity:
                 finals[True][key], finals[False][key], rtol=self.RTOL, atol=1e-12
             )
 
-    def test_rank_space_requires_frozen_base(self, model):
-        with pytest.raises(ValueError):
-            Trainer(model, train_base=True, rank_space=True)
-
     def test_auto_selection(self, model):
+        """The engine is a function of train_base and the adapter alone."""
         examples = _separable_examples(n=8)
         # Base training never engages the rank engine.
         base_report = Trainer(model, TrainConfig(epochs=1, seed=1)).fit(examples)
         assert not base_report.rank_space
+        # Neither does base training with a rank-protocol adapter attached.
+        fused, __ = _fused_model()
+        report = Trainer(fused, TrainConfig(epochs=1, seed=1)).fit(examples)
+        assert not report.rank_space
         # Frozen backbone + adapter auto-selects it.
         fused, __ = _fused_model()
         report = Trainer(
             fused, TrainConfig(epochs=1, seed=1), train_base=False
         ).fit(examples)
         assert report.rank_space
-        # Explicit opt-out is honoured.
-        fused2, __ = _fused_model()
-        report2 = Trainer(
-            fused2,
-            TrainConfig(epochs=1, seed=1),
-            train_base=False,
-            rank_space=False,
-        ).fit(examples)
-        assert not report2.rank_space
-
-    def test_exact_weights_env_forces_dense(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXACT_WEIGHTS", "1")
+        # The dense reference forces the dense step on the same fit.
         fused, __ = _fused_model()
-        report = Trainer(
-            fused,
-            TrainConfig(epochs=1, seed=1),
-            train_base=False,
-            rank_space=True,
-        ).fit(_separable_examples(n=8))
+        report = DenseTrainer(
+            fused, TrainConfig(epochs=1, seed=1), train_base=False
+        ).fit(examples)
         assert not report.rank_space
 
 
