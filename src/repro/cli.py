@@ -260,11 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(cold pipeline vs store-warm re-run)",
     )
     perf.add_argument(
-        "--serve", action="store_true",
-        help="run the serving benchmark (sequential per-request dispatch "
-        "vs multi-tenant continuous batching through the real server)",
-    )
-    perf.add_argument(
         "--kb", action="store_true",
         help="run the knowledge-base benchmark (cold AKB search vs "
         "retrieve-then-refine seeded from a populated KB)",
@@ -769,23 +764,6 @@ def _cmd_perf(args: argparse.Namespace, console: Console) -> int:
             console.set("ok", False)
             return 1
         console.result("smoke OK")
-        console.set("ok", True)
-        return 0
-
-    if args.serve:
-        from .perf import render_serve_benchmark, run_serve_benchmark
-
-        result = run_serve_benchmark(seed=args.seed, repeats=args.repeats)
-        console.result(render_serve_benchmark(result))
-        console.set("benchmark", result)
-        if not result["predictions_identical"]:
-            console.error(
-                "serve benchmark FAILED: served predictions diverged "
-                "from the offline oracle"
-            )
-            console.set("ok", False)
-            return 1
-        console.result("serve benchmark OK")
         console.set("ok", True)
         return 0
 

@@ -79,6 +79,7 @@ __all__ = [
     "record_span",
     "new_span_id",
     "current_span_id",
+    "under",
     "worker_reset",
     "worker_snapshot",
     "merge_worker",
@@ -540,6 +541,26 @@ def current_span_id() -> Optional[str]:
     if tracer is None or not tracer._stack:
         return None
     return tracer._stack[-1]
+
+
+@contextmanager
+def under(span_id: Optional[str]) -> Iterator[None]:
+    """Parent the stack-based spans opened inside on ``span_id``.
+
+    Bridges the two recording styles: a region recorded after the fact
+    with :func:`record_span` (its id from :func:`new_span_id`) can
+    still own the :func:`span` calls of synchronous code it runs.
+    """
+    tracer = _TRACER
+    if tracer is None or span_id is None:
+        yield
+        return
+    tracer._stack.append(span_id)
+    try:
+        yield
+    finally:
+        if tracer._stack and tracer._stack[-1] == span_id:
+            tracer._stack.pop()
 
 
 # ----------------------------------------------------------------------

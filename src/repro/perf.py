@@ -41,8 +41,6 @@ __all__ = [
     "render_cache_benchmark",
     "run_kb_benchmark",
     "render_kb_benchmark",
-    "run_serve_benchmark",
-    "render_serve_benchmark",
     "run_workload_benchmark",
     "render_workload_benchmark",
 ]
@@ -296,7 +294,9 @@ class Gate:
 def _provenance(root) -> Dict[str, object]:
     """The commit, UTC time, CPU count and numpy version of a measurement.
 
-    ``commit`` is the ``HEAD`` sha of the repository at ``root``, or
+    ``commit`` is the ``HEAD`` sha of the repository at ``root`` and
+    ``dirty`` whether its working tree had uncommitted edits (so a row
+    measured before committing does not pass for its parent); both are
     ``None`` when git is missing or ``root`` is not a checkout.
     """
     import datetime
@@ -305,15 +305,19 @@ def _provenance(root) -> Dict[str, object]:
 
     import numpy
 
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=root, capture_output=True, text=True, check=True,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        commit = None
+    def git(*args: str) -> Optional[str]:
+        try:
+            return subprocess.run(
+                ["git", *args],
+                cwd=root, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            return None
+
+    status = git("status", "--porcelain")
     return {
-        "commit": commit,
+        "commit": git("rev-parse", "HEAD") or None,
+        "dirty": None if status is None else bool(status),
         "date": datetime.datetime.now(datetime.timezone.utc).strftime(
             "%Y-%m-%dT%H:%M:%SZ"
         ),
@@ -908,175 +912,6 @@ def render_benchmark(result: Dict) -> str:
         f"{result['repeats']})",
         f"  cold pass:   per-example {result['cold']['per_example_seconds']:.4f}s, "
         f"batched {result['cold']['batched_seconds']:.4f}s",
-        f"  predictions identical: {result['predictions_identical']}",
-    ]
-    return "\n".join(lines)
-
-
-def _latency_percentile(latencies: List[float], q: float) -> float:
-    """Nearest-rank percentile of a latency sample (seconds in, ms out)."""
-    ordered = sorted(latencies)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index] * 1000.0
-
-
-def run_serve_benchmark(
-    seed: int = 0,
-    clients: int = 9,
-    requests: int = 36,
-    prompts_per_request: int = 4,
-    tenants: int = 2,
-    n_patches: int = 16,
-    rank: int = 8,
-    max_batch: int = 64,
-    max_wait_ms: float = 25.0,
-    repeats: int = 3,
-) -> Dict:
-    """Sequential per-request dispatch vs continuous batching, measured
-    through the real server: sockets, event loop, scheduler and all.
-
-    One multi-tenant registry (``tenants`` fused specialists sharing a
-    single backbone) serves the identical tenant-alternating workload
-    twice:
-
-    * **sequential** — ``max_batch=1`` and a single closed-loop client:
-      requests dispatch one at a time in workload order, so the
-      tenant-alternating stream pays a full adapter swap (the fusion
-      delta materialisation, the dominant cost on this CPU) on nearly
-      every dispatch — the offline per-request semantics, through the
-      wire;
-    * **batched** — ``clients`` concurrent closed-loop clients against
-      the production scheduler, which coalesces the in-flight requests,
-      groups them by tenant, and pays one swap per tenant per batch
-      plus a single ``predict_batch`` per group.
-
-    Clients are closed-loop threads (request ``i`` belongs to client
-    ``i % clients``).  Latency percentiles are client-observed round
-    trips; queueing means the two arms' latencies are not directly
-    comparable — the gate's latency bounds apply to the batched arm.
-    An offline oracle (per-request attach + ``predict_batch``) is
-    computed first — it doubles as the warm-up for the featurization
-    caches — and both arms must reproduce it bit-for-bit: batching may
-    only ever change *when* a prompt is scored, never its result.
-
-    Each arm runs ``repeats`` times against a fresh server (best run
-    kept, the usual best-of protocol); predictions must match the
-    oracle on *every* repeat, not just the fastest one.
-    """
-    from .serve import (
-        ServeClient,
-        ServerThread,
-        build_demo_registry,
-        build_workload,
-        drive_clients,
-        offline_reference,
-    )
-
-    registry = build_demo_registry(
-        tenants=tenants, seed=seed, n_patches=n_patches, rank=rank
-    )
-    workload = build_workload(
-        registry,
-        requests=requests,
-        prompts_per_request=prompts_per_request,
-        seed=seed,
-    )
-    offline = offline_reference(registry, workload)
-
-    def run_arm(arm_max_batch: int, arm_max_wait_ms: float, arm_clients: int):
-        with ServerThread(
-            registry, max_batch=arm_max_batch, max_wait_ms=arm_max_wait_ms
-        ) as server:
-            start = time.perf_counter()
-            responses, latencies = drive_clients(
-                "127.0.0.1", server.port, workload, clients=arm_clients
-            )
-            seconds = time.perf_counter() - start
-            with ServeClient("127.0.0.1", server.port) as probe:
-                stats = probe.stats()
-        predictions = [
-            response.get("predictions") if response else None
-            for response in responses
-        ]
-        arm = {
-            "seconds": seconds,
-            "requests_per_sec": len(workload) / seconds,
-            "p50_ms": _latency_percentile(latencies, 0.50),
-            "p99_ms": _latency_percentile(latencies, 0.99),
-            "batches": stats["batches"],
-            "mean_batch_size": stats["mean_batch_size"],
-            "adapter_swaps": stats["adapter_swaps"],
-            "all_ok": all(r is not None and r.get("ok") for r in responses),
-        }
-        return arm, predictions
-
-    def best_arm(arm_max_batch: int, arm_max_wait_ms: float, arm_clients: int):
-        best = None
-        identical = True
-        for __ in range(max(1, repeats)):
-            arm, predictions = run_arm(
-                arm_max_batch, arm_max_wait_ms, arm_clients
-            )
-            identical = identical and predictions == offline
-            if best is None or arm["seconds"] < best["seconds"]:
-                best = arm
-        return best, identical
-
-    # One untimed warm lap through the socket/event-loop path so neither
-    # timed arm pays first-connection and interpreter warm-up costs.
-    with ServerThread(
-        registry, max_batch=max_batch, max_wait_ms=max_wait_ms
-    ) as server:
-        drive_clients(
-            "127.0.0.1",
-            server.port,
-            workload[: min(len(workload), clients)],
-            clients=clients,
-        )
-
-    sequential, sequential_identical = best_arm(1, 0.0, 1)
-    batched, batched_identical = best_arm(max_batch, max_wait_ms, clients)
-    return {
-        "workload": "em/abt_buy",
-        "requests": len(workload),
-        "prompts_per_request": prompts_per_request,
-        "clients": clients,
-        "tenants": tenants,
-        "patches": n_patches,
-        "rank": rank,
-        "max_batch": max_batch,
-        "max_wait_ms": max_wait_ms,
-        "repeats": repeats,
-        "sequential": sequential,
-        "batched": batched,
-        "speedup": sequential["seconds"] / batched["seconds"],
-        "predictions_identical": bool(
-            sequential_identical and batched_identical
-        ),
-        "coalesced": batched["mean_batch_size"] > 1.5,
-    }
-
-
-def render_serve_benchmark(result: Dict) -> str:
-    """Format :func:`run_serve_benchmark` output for the terminal."""
-    lines = [
-        f"serve benchmark — {result['workload']} "
-        f"({result['requests']} requests x "
-        f"{result['prompts_per_request']} prompts, {result['clients']} "
-        f"clients, {result['tenants']} tenants, {result['patches']} fused "
-        f"patches, best of {result['repeats']})",
-        f"  sequential: {result['sequential']['seconds']:.3f}s "
-        f"({result['sequential']['requests_per_sec']:.1f} req/s, "
-        f"p50 {result['sequential']['p50_ms']:.1f} ms, "
-        f"p99 {result['sequential']['p99_ms']:.1f} ms, "
-        f"{result['sequential']['adapter_swaps']} swaps)",
-        f"  batched:    {result['batched']['seconds']:.3f}s "
-        f"({result['batched']['requests_per_sec']:.1f} req/s, "
-        f"p50 {result['batched']['p50_ms']:.1f} ms, "
-        f"p99 {result['batched']['p99_ms']:.1f} ms, "
-        f"{result['batched']['adapter_swaps']} swaps, mean batch "
-        f"{result['batched']['mean_batch_size']:.1f})",
-        f"  speedup:    {result['speedup']:.2f}x",
         f"  predictions identical: {result['predictions_identical']}",
     ]
     return "\n".join(lines)

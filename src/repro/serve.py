@@ -12,19 +12,15 @@ multi-tenant serving) amortise a shared backbone:
   ``core.knowtrans._fused_finetune`` path the offline pipeline uses, so
   a populated store makes registration a millisecond restore instead of
   a fine-tune;
-* requests hot-attach the entry's adapter onto the shared backbone.
-  The attach is skipped entirely when the adapter is already resident
-  (``backbone.adapter is entry.adapter``), which preserves the
-  model's effective-weight memo — the expensive part of a swap is the
-  adapter delta materialisation, so back-to-back requests for one
-  tenant cost nothing;
+* nothing is ever attached to a serving backbone.  A dispatch scores
+  its whole batch with one :meth:`ScoringLM.predict_mixed` call: the
+  frozen-base projections once for every row, then each tenant's
+  low-rank terms on its own rows (S-LoRA / Punica style), so no dense
+  effective weight is ever built on the request path;
 * a continuous-batching scheduler coalesces concurrent in-flight
-  requests (across connections and tenants) into one dispatch: the
-  batch is grouped by entry and each group runs a **single**
-  ``predict_batch`` over the concatenated prompts.  Grouping means a
-  batch touching T tenants pays T adapter swaps instead of one per
-  request — on a single-core host that amortisation, not parallelism,
-  is where the throughput comes from.
+  requests (across connections and tenants) into one dispatch.  It
+  dispatches a lone request at once and opens its ``max_wait_ms``
+  straggler window only while other requests are already waiting.
 
 Transport is deliberately boring: line-delimited JSON over a TCP
 socket, stdlib ``asyncio`` only.  Ops: ``predict``, ``stream_update``,
@@ -35,20 +31,15 @@ wire format).
 server trains the entry's adapter **in place** through
 ``Trainer.fit_incremental`` on a per-backbone *training replica* (a
 ``clone()`` that shares featurization caches but owns no serving
-state), so the serving backbone's effective-weight memo is never
-touched for tenants whose adapter is not resident.  Only when the
-updated adapter *is* the resident one does the server issue a single
-``bump_adapter_version()`` — the minimum invalidation correctness
-requires, since the resident memo was materialised from the
-now-stale parameters.
+state).  The update runs on the event-loop thread between dispatches,
+and every dispatch reads the adapter's current ``λ``/``B``/``A``, so
+the next request sees the new parameters with nothing to invalidate.
 
-Determinism contract: a coalesced dispatch is bit-identical to
-dispatching each request alone — ``predict_batch`` scores every prompt
-row-independently (the batch-composition invariance the inference
-perf gate and the tier-1 parity tests already pin down), and grouping
-never reorders prompts within a request.
-``benchmarks/bench_perf_serve.py`` gates this end to end against an
-offline oracle.
+Numeric contract: served logits equal those of the dense oracle
+(:func:`offline_reference`: the adapter attached, ``predict_batch``)
+within rtol 1e-9, and the argmax is identical unless two candidates tie
+to that precision.  The rank-space association order is the only
+difference; coalescing never reorders prompts within a request.
 
 Observability: every request is traced through the full path.  The
 server pre-allocates explicit span ids (:func:`repro.obs.new_span_id`)
@@ -58,12 +49,13 @@ hops between connection handlers and the scheduler task:
 
 * ``serve.run`` — root, the server's lifetime;
 * ``serve.batch`` — one per dispatch (size / group attrs);
-* ``serve.predict`` — one per tenant group inside a batch;
+* ``serve.predict`` — one ``predict_mixed`` call per backbone in a
+  batch, with ``serve.featurize`` and ``serve.score`` children;
 * ``serve.request`` — one per request, spanning accept → response;
 
 plus ``serve.queue_wait_ms`` / ``serve.batch_size`` histograms,
-``serve.requests`` / ``serve.batches`` / ``serve.adapter_swaps``
-counters and per-backbone cache-size gauges each dispatch, so
+``serve.requests`` / ``serve.batches`` counters and per-backbone
+cache-size gauges each dispatch, so
 ``python -m repro trace`` renders per-request flamegraphs of a serving
 session.
 """
@@ -148,7 +140,7 @@ class TenantEntry:
 
 
 class TenantRegistry:
-    """Backbones loaded once; adapted entries that hot-attach onto them.
+    """Backbones loaded once; adapted entries scored on top of them.
 
     The registry is the server's unit of state: benchmarks and tests
     inject backbones/entries directly (:meth:`add_backbone` /
@@ -159,7 +151,6 @@ class TenantRegistry:
     def __init__(self):
         self.backbones: Dict[str, ScoringLM] = {}
         self.entries: Dict[EntryKey, TenantEntry] = {}
-        self.swaps = 0  # lifetime adapter swap count across all backbones
 
     # -- construction --------------------------------------------------
     def add_backbone(self, name: str, model: ScoringLM) -> ScoringLM:
@@ -220,8 +211,8 @@ class TenantRegistry:
         state, not a training run — and registers the resulting fusion
         against the shared upstream backbone.  The fine-tune operates
         on a clone of the upstream model with identical base weights,
-        so hot-attaching the returned fusion to the shared backbone
-        reproduces the adapted model exactly.
+        so scoring the returned fusion on the shared backbone
+        reproduces the adapted model.
 
         When the persistent knowledge base is enabled (``--kb`` /
         ``REPRO_KB``), registration is KB-warmed: the few-shot data is
@@ -280,12 +271,12 @@ class TenantRegistry:
         return self.entries.get((tenant, dataset, task))
 
     def ensure_attached(self, entry: TenantEntry) -> Tuple[ScoringLM, bool]:
-        """Make ``entry``'s adapter resident; returns (backbone, swapped).
+        """Attach ``entry``'s adapter densely; returns (backbone, swapped).
 
-        The no-op check is identity-based on purpose: re-attaching the
-        same adapter object would bump the backbone's adapter version
-        and invalidate its effective-weight memo, turning every
-        dispatch into a full delta re-materialisation.
+        Only the dense oracle (:func:`offline_reference`) attaches: the
+        server never does.  The no-op check is identity-based on
+        purpose: re-attaching the same adapter object would bump the
+        backbone's adapter version and rebuild its effective weights.
         """
         backbone = self.backbones[entry.backbone]
         if backbone.adapter is entry.adapter:
@@ -294,9 +285,6 @@ class TenantRegistry:
             backbone.detach()
         else:
             backbone.attach(entry.adapter)
-        self.swaps += 1
-        PERF.count("serve.adapter_swaps")
-        obs.counter("serve.adapter_swaps", tenant=entry.tenant)
         return backbone, True
 
     def describe(self) -> Dict[str, Any]:
@@ -306,7 +294,6 @@ class TenantRegistry:
                 for name, model in self.backbones.items()
             },
             "entries": [entry.describe() for entry in self.entries.values()],
-            "lifetime_adapter_swaps": self.swaps,
         }
 
 
@@ -334,12 +321,12 @@ class AdaptationServer:
         ``self.port`` after :meth:`start`).
     max_batch:
         Upper bound on requests coalesced into one dispatch.
-        ``max_batch=1`` degenerates to sequential per-request dispatch
-        (the benchmark's baseline arm).
+        ``max_batch=1`` degenerates to sequential per-request dispatch.
     max_wait_ms:
-        After the first request of a batch arrives, how long the
-        scheduler keeps the window open for stragglers.  Zero means
-        "take only what is already queued".
+        How long the scheduler keeps a batch open for stragglers once
+        other requests are already waiting behind its first one.  A
+        lone request is dispatched at once; zero means "take only what
+        is already queued".
     """
 
     def __init__(
@@ -358,7 +345,6 @@ class AdaptationServer:
         self.requests = 0
         self.batches = 0
         self.batched_requests = 0
-        self.swaps = 0  # swaps performed by *this* server's dispatches
         self.stream_updates = 0
         # Streaming-adaptation state: one training replica per backbone
         # (clone sharing featurization caches) and one Trainer per entry
@@ -419,7 +405,6 @@ class AdaptationServer:
                 span_id=self._root_span,
                 requests=self.requests,
                 batches=self.batches,
-                swaps=self.swaps,
             )
             self._root_span = None
 
@@ -472,11 +457,9 @@ class AdaptationServer:
         """Train a tenant's adapter in place on one labelled micro-batch.
 
         The update runs through :meth:`Trainer.fit_incremental` on a
-        per-backbone training replica, so cost is ``O(batch)`` and the
-        serving backbone's weight memo survives untouched unless the
-        trained adapter is currently resident (in which case one
-        version bump forces the memo to re-materialise from the new
-        parameters on the next dispatch).
+        per-backbone training replica, so cost is ``O(batch)``.  The
+        serving backbone is never touched: the next dispatch reads the
+        adapter's updated arrays directly.
         """
         key = (
             str(message.get("tenant", "")),
@@ -554,12 +537,6 @@ class AdaptationServer:
                 report = trainer.fit_incremental(examples)
             except (RuntimeError, ValueError) as exc:
                 return {"ok": False, "error": str(exc)}
-            serving = self.registry.backbones[entry.backbone]
-            resident = serving.adapter is entry.adapter
-            if resident:
-                # The resident memo was materialised from the old
-                # parameters; one bump is the minimum invalidation.
-                serving.bump_adapter_version()
             self.stream_updates += 1
             PERF.count("serve.stream_updates")
             obs.counter("serve.stream_updates", tenant=entry.tenant)
@@ -572,7 +549,6 @@ class AdaptationServer:
             "final_epoch_loss": report.epoch_losses[-1],
             "stream_rows": state.examples_seen if state else 0,
             "stream_batches": state.batches if state else 0,
-            "resident_memo_invalidated": resident,
         }
 
     async def _submit(
@@ -599,8 +575,15 @@ class AdaptationServer:
             or len(prompts) != len(pools)
             or not prompts
             or not all(isinstance(p, str) for p in prompts)
-            or not all(isinstance(pool, list) and pool for pool in pools)
+            or not all(
+                isinstance(pool, list)
+                and pool
+                and all(isinstance(c, str) for c in pool)
+                for pool in pools
+            )
         ):
+            # Checked here so one malformed request cannot fail the
+            # other tenants' requests it would be batched with.
             return {
                 "ok": False,
                 "error": "predict needs parallel non-empty 'prompts' "
@@ -621,7 +604,15 @@ class AdaptationServer:
         while True:
             first = await self._queue.get()
             batch = [first]
-            if self.max_batch > 1 and self.max_wait > 0.0:
+            # One pass of the event loop lets already-readable requests
+            # join.  The straggler window opens only when some did: a
+            # lone request has nobody to wait for.
+            await asyncio.sleep(0)
+            if (
+                self.max_batch > 1
+                and self.max_wait > 0.0
+                and not self._queue.empty()
+            ):
                 deadline = time.perf_counter() + self.max_wait
                 while len(batch) < self.max_batch:
                     remaining = deadline - time.perf_counter()
@@ -640,56 +631,18 @@ class AdaptationServer:
             self._dispatch(batch)
 
     def _dispatch(self, batch: List[_Pending]) -> None:
-        """Run one coalesced batch: group by entry, one GEMM per group."""
+        """Run one coalesced batch: one ``predict_mixed`` per backbone."""
         batch_start = time.perf_counter()
         batch_span = obs.new_span_id()
-        groups: Dict[EntryKey, List[_Pending]] = {}
+        # backbone -> entry -> that entry's requests, in arrival order
+        by_backbone: Dict[str, Dict[EntryKey, List[_Pending]]] = {}
         for pending in batch:
-            groups.setdefault(pending.key, []).append(pending)
-        for key, members in groups.items():
-            entry = self.registry.entries[key]
-            group_start = time.perf_counter()
-            prompts = [p for member in members for p in member.prompts]
-            pools = [pool for member in members for pool in member.pools]
-            ok = True
-            try:
-                swaps_before = self.registry.swaps
-                backbone, __ = self.registry.ensure_attached(entry)
-                self.swaps += self.registry.swaps - swaps_before
-                predictions = backbone.predict_batch(prompts, pools)
-            except Exception as exc:  # surface to every member request
-                ok = False
-                for member in members:
-                    member.result = {"ok": False, "error": str(exc)}
-            else:
-                cursor = 0
-                for member in members:
-                    count = len(member.prompts)
-                    preds = predictions[cursor : cursor + count]
-                    cursor += count
-                    member.result = {
-                        "ok": True,
-                        "predictions": [int(p) for p in preds],
-                        "answers": [
-                            member.pools[i][p] for i, p in enumerate(preds)
-                        ],
-                        "batch_size": len(batch),
-                        "group_size": len(members),
-                        "queue_ms": (batch_start - member.accepted) * 1000.0,
-                    }
-                entry.requests += len(members)
-                entry.predictions += len(prompts)
-            obs.record_span(
-                "serve.predict",
-                group_start,
-                time.perf_counter() - group_start,
-                parent=batch_span,
-                ok=ok,
-                tenant=entry.tenant,
-                dataset=entry.dataset,
-                requests=len(members),
-                prompts=len(prompts),
-            )
+            name = self.registry.entries[pending.key].backbone
+            by_backbone.setdefault(name, {}).setdefault(
+                pending.key, []
+            ).append(pending)
+        for name, groups in by_backbone.items():
+            self._predict(name, groups, batch_span, batch_start, len(batch))
         finished = time.perf_counter()
         for pending in batch:
             obs.record_span(
@@ -716,7 +669,7 @@ class AdaptationServer:
         obs.counter("serve.requests", len(batch))
         obs.counter("serve.batches")
         obs.histogram("serve.batch_size", len(batch))
-        for name in {self.registry.entries[key].backbone for key in groups}:
+        for name in by_backbone:
             self.registry.backbones[name].emit_cache_gauges()
         obs.record_span(
             "serve.batch",
@@ -725,7 +678,74 @@ class AdaptationServer:
             parent=self._root_span,
             span_id=batch_span,
             size=len(batch),
-            groups=len(groups),
+            groups=sum(len(groups) for groups in by_backbone.values()),
+        )
+
+    def _predict(
+        self,
+        backbone: str,
+        groups: Dict[EntryKey, List[_Pending]],
+        batch_span: Optional[str],
+        batch_start: float,
+        batch_size: int,
+    ) -> None:
+        """Score every request on one backbone with one ``predict_mixed``.
+
+        Each entry's requests form one contiguous row slice scored with
+        that entry's adapter; the result lands on each request.
+        """
+        start = time.perf_counter()
+        span_id = obs.new_span_id()
+        members = [member for group in groups.values() for member in group]
+        prompts = [p for member in members for p in member.prompts]
+        pools = [pool for member in members for pool in member.pools]
+        slices = []
+        row = 0
+        for key, group in groups.items():
+            rows = sum(len(member.prompts) for member in group)
+            adapter = self.registry.entries[key].adapter
+            slices.append((adapter, row, row + rows))
+            row += rows
+        ok = True
+        try:
+            with obs.under(span_id):
+                predictions = self.registry.backbones[
+                    backbone
+                ].predict_mixed(prompts, pools, slices)
+        except Exception as exc:  # surface to every member request
+            ok = False
+            for member in members:
+                member.result = {"ok": False, "error": str(exc)}
+        else:
+            cursor = 0
+            for key, group in groups.items():
+                for member in group:
+                    count = len(member.prompts)
+                    preds = predictions[cursor : cursor + count]
+                    cursor += count
+                    member.result = {
+                        "ok": True,
+                        "predictions": preds,
+                        "answers": [
+                            member.pools[i][p] for i, p in enumerate(preds)
+                        ],
+                        "batch_size": batch_size,
+                        "group_size": len(group),
+                        "queue_ms": (batch_start - member.accepted) * 1000.0,
+                    }
+                entry = self.registry.entries[key]
+                entry.requests += len(group)
+                entry.predictions += sum(len(m.prompts) for m in group)
+        obs.record_span(
+            "serve.predict",
+            start,
+            time.perf_counter() - start,
+            parent=batch_span,
+            span_id=span_id,
+            ok=ok,
+            tenants=len(groups),
+            requests=len(members),
+            prompts=len(prompts),
         )
 
     # -- introspection -------------------------------------------------
@@ -737,7 +757,6 @@ class AdaptationServer:
             "requests": self.requests,
             "batches": self.batches,
             "mean_batch_size": mean_batch,
-            "adapter_swaps": self.swaps,
             "stream_updates": self.stream_updates,
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait * 1000.0,
@@ -927,9 +946,8 @@ def build_demo_registry(
     """A seeded multi-tenant registry on one untrained backbone.
 
     Each tenant gets a distinct :class:`PatchFusion` stack (seeded
-    non-zero ``A`` matrices, so deltas are real work to materialise) —
-    the swap cost between tenants is therefore representative of a
-    fused specialist without running any fine-tuning.
+    non-zero ``A`` matrices, so every low-rank term is real work) — a
+    representative fused specialist without running any fine-tuning.
     """
     config = ModelConfig(name=backbone_name, seed=seed)
     backbone = ScoringLM(config)
@@ -972,8 +990,7 @@ def build_workload(
     """A deterministic request stream cycling over the registry's entries.
 
     Consecutive requests alternate tenants (request ``r`` targets entry
-    ``r % len(entries)``), which is the adversarial pattern for a
-    sequential server: nearly every dispatch needs an adapter swap.
+    ``r % len(entries)``), so coalesced batches mix tenants.
     """
     from .data import generators
     from .knowledge.seed import seed_knowledge
@@ -1014,12 +1031,13 @@ def build_workload(
 def offline_reference(
     registry: TenantRegistry, workload: Sequence[Dict[str, Any]]
 ) -> List[List[int]]:
-    """Offline per-request predictions — the bit-parity oracle.
+    """Offline per-request predictions — the dense oracle.
 
     Attaches each request's adapter and runs ``predict_batch`` exactly
-    as a standalone offline evaluation would.  Also serves as the
-    warm-up pass: it populates the featurization caches both serving
-    arms then share.
+    as a standalone offline evaluation would, so it shares no scoring
+    code path with the server's rank-space ``predict_mixed``.  Also
+    serves as the warm-up pass: it populates the featurization caches
+    the server then shares.
     """
     results: List[List[int]] = []
     for item in workload:
@@ -1097,7 +1115,11 @@ def run_smoke(
     max_wait_ms: float = 10.0,
     tenants: int = 2,
 ) -> Dict[str, Any]:
-    """End-to-end in-process smoke: concurrent clients vs offline oracle."""
+    """End-to-end in-process smoke: concurrent clients vs offline oracle.
+
+    Also counts the dense weight materialisations while serving, which
+    must stay zero.
+    """
     registry = build_demo_registry(
         tenants=tenants, seed=seed, n_patches=4, rank=4
     )
@@ -1108,6 +1130,7 @@ def run_smoke(
         seed=seed,
     )
     offline = offline_reference(registry, workload)
+    materialized = PERF.counter("model.weight_materializations")
     with ServerThread(
         registry, max_batch=max_batch, max_wait_ms=max_wait_ms
     ) as server:
@@ -1117,6 +1140,7 @@ def run_smoke(
         with ServeClient("127.0.0.1", server.port) as probe:
             assert probe.ping()
             stats = probe.stats()
+    materialized = PERF.counter("model.weight_materializations") - materialized
     match = all(
         response is not None
         and response.get("ok")
@@ -1124,12 +1148,14 @@ def run_smoke(
         for i, response in enumerate(responses)
     )
     return {
-        "ok": bool(match and stats["requests"] == len(workload)),
+        "ok": bool(
+            match and stats["requests"] == len(workload) and not materialized
+        ),
         "predictions_identical": match,
+        "weight_materializations": materialized,
         "requests": len(workload),
         "clients": clients,
         "mean_batch_size": stats["mean_batch_size"],
-        "adapter_swaps": stats["adapter_swaps"],
         "batches": stats["batches"],
         "max_latency_ms": max(latencies) * 1000.0 if latencies else 0.0,
     }
@@ -1142,7 +1168,7 @@ def render_smoke(result: Dict[str, Any]) -> str:
         f"{result['clients']} clients, "
         f"{result['batches']} batches "
         f"(mean size {result['mean_batch_size']:.1f}), "
-        f"{result['adapter_swaps']} adapter swaps, "
+        f"{result['weight_materializations']} weight materializations, "
         f"predictions_identical={result['predictions_identical']}, "
         f"max latency {result['max_latency_ms']:.1f} ms"
     )

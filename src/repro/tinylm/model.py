@@ -357,6 +357,14 @@ def _accumulate(grads: Dict[str, np.ndarray], key: str, value) -> None:
         grads[key] = value
 
 
+def _add_rank_terms(out, inputs, adapter, target: str) -> None:
+    """``out += Σ coeff·((inputs @ Aᵀ) @ Bᵀ)`` over an adapter's terms."""
+    if adapter is None:
+        return
+    for comp in adapter.rank_components(target):
+        out += comp.coeff * ((inputs @ comp.A.T) @ comp.B.T)
+
+
 class ScoringLM:
     """A candidate-scoring conditional language model with adapter support.
 
@@ -697,22 +705,47 @@ class ScoringLM:
         """All candidate logits of a ragged batch via two matmuls.
 
         Encoder activations are computed once per *prompt*; candidate
-        embeddings once per *distinct candidate*.  When pools are shared
-        (``n·u`` comparable to ``M``) the whole score surface is one
-        dense ``(n, u)`` GEMM and the flat logits are a single gather;
-        otherwise per-slot row-gathered einsums keep the cost at
-        ``O(M·D)``.
+        embeddings once per *distinct candidate*; :meth:`_slot_logits`
+        turns them into the flat logits.
         """
         W1 = self.effective_weight("encoder.W1")
         W2 = self.effective_weight("encoder.W2")
         V = self.effective_weight("answer.V")
         b = self.weights["answer.b"]
-        gamma = float(self.weights["copy.gamma"][0])
         H_pre = rb.X @ W1.T + self.weights["encoder.b1"]
         H = relu(H_pre)
         U = H @ W2.T + self.weights["encoder.b2"]
         Vy_u = rb.Yu @ V.T  # (u, k) — one embedding per distinct candidate
         yb_u = rb.Yu @ b
+        logits, overlap, Vy = self._slot_logits(rb, U, Vy_u, yb_u)
+        cache = _Cache(
+            batch=rb,
+            H_pre=H_pre,
+            H=H,
+            U=U,
+            Vy=Vy,
+            overlap=overlap,
+            probs=np.zeros(0),
+        )
+        return logits, cache
+
+    def _slot_logits(
+        self,
+        rb: RaggedBatch,
+        U: np.ndarray,
+        Vy_u: np.ndarray,
+        yb_u: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat logits, overlaps and slot embeddings from the projections.
+
+        ``U`` holds one encoded row per prompt and ``Vy_u``/``yb_u`` one
+        row per distinct candidate of ``rb``.  When pools are shared
+        (``n·u`` comparable to ``M``) the whole score surface is one
+        dense ``(n, u)`` GEMM and the flat logits are a single gather;
+        otherwise per-slot row-gathered einsums keep the cost at
+        ``O(M·D)``.
+        """
+        gamma = float(self.weights["copy.gamma"][0])
         u, m = rb.Yu.shape[0], rb.m
         if u * rb.n <= 2 * m:
             # Dense cross-product: score every prompt against every
@@ -758,15 +791,6 @@ class ScoringLM:
                 + yb_u[rb.cand_index]
                 + gamma * overlap
             )
-        cache = _Cache(
-            batch=rb,
-            H_pre=H_pre,
-            H=H,
-            U=U,
-            Vy=Vy,
-            overlap=overlap,
-            probs=np.zeros(0),
-        )
         PERF.count("model.batches")
         PERF.count("model.examples", rb.n)
         PERF.count("model.candidates", m)
@@ -775,7 +799,7 @@ class ScoringLM:
             obs.counter("model.examples", rb.n)
             obs.counter("model.candidates", m)
             obs.histogram("model.batch_size", rb.n)
-        return logits, cache
+        return logits, overlap, Vy
 
     def _forward(
         self, batch: Sequence[EncodedExample]
@@ -833,6 +857,100 @@ class ScoringLM:
             int(np.argmax(flat[offsets[i] : offsets[i + 1]]))
             for i in range(len(prompts))
         ]
+
+    def predict_mixed(
+        self,
+        prompts: Sequence[str],
+        pools: Sequence[Sequence[str]],
+        slices: Sequence[Tuple[Optional[object], int, int]],
+    ) -> List[int]:
+        """Greedy decode of a batch whose row slices carry different adapters.
+
+        ``slices`` lists ``(adapter, start, stop)`` in row order and must
+        tile ``range(len(prompts))``; ``adapter`` is anything with
+        ``rank_components`` (a LoRA patch or a fusion), or ``None`` for
+        the frozen base.  Nothing is attached and :attr:`adapter` is
+        ignored: see :meth:`_mixed_logits`.
+        """
+        flat, offsets = self._mixed_logits(prompts, pools, slices)
+        return [
+            int(np.argmax(flat[offsets[i] : offsets[i + 1]]))
+            for i in range(len(prompts))
+        ]
+
+    def _mixed_logits(
+        self,
+        prompts: Sequence[str],
+        pools: Sequence[Sequence[str]],
+        slices: Sequence[Tuple[Optional[object], int, int]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flat_logits, offsets)`` of a mixed-adapter batch.
+
+        The batch is featurized once, with candidates deduplicated per
+        slice so that every slice owns a contiguous run of ``Yu`` rows.
+        The frozen-base projections of the whole batch are computed
+        once; each slice then adds its adapter's low-rank terms
+        ``coeff·((P @ Aᵀ) @ Bᵀ)`` to its own rows, as the rank-space
+        training engine does, so no dense weight is ever built.  A row's
+        logits equal those of :meth:`forward_batch` with its slice's
+        adapter attached up to float association order: within rtol
+        1e-9, so the argmax is the same unless two candidates tie to
+        that precision.
+        """
+        if len(prompts) != len(pools):
+            raise ValueError(
+                f"{len(prompts)} prompts but {len(pools)} candidate pools"
+            )
+        if not prompts:
+            return np.zeros(0), np.zeros(1, dtype=np.intp)
+        bounds = [(int(start), int(stop)) for __, start, stop in slices]
+        ends = [0] + [stop for __, stop in bounds]
+        if ends[-1] != len(prompts) or any(
+            start != end or stop <= start
+            for (start, stop), end in zip(bounds, ends)
+        ):
+            raise ValueError(
+                f"slices {bounds} do not tile {len(prompts)} prompts"
+            )
+        with obs.span("serve.featurize", prompts=len(prompts)):
+            parts = [
+                self._ragged_from_text(prompts[start:stop], pools[start:stop])
+                for start, stop in bounds
+            ]
+            firsts = np.cumsum([0] + [part.Yu.shape[0] for part in parts])
+            offsets, rows = self._offsets_for([len(pool) for pool in pools])
+            rb = RaggedBatch(
+                X=np.concatenate([part.X for part in parts]),
+                Yu=np.concatenate([part.Yu for part in parts]),
+                cand_index=np.concatenate(
+                    [p.cand_index + first for p, first in zip(parts, firsts)]
+                ),
+                offsets=offsets,
+                rows=rows,
+                targets=np.zeros(len(prompts), dtype=np.intp),
+                weights=np.ones(len(prompts)),
+            )
+        with obs.span("serve.score", slices=len(slices)):
+            weights = self.weights
+            H_pre = rb.X @ weights["encoder.W1"].T + weights["encoder.b1"]
+            Vy_u = rb.Yu @ weights["answer.V"].T
+            yb_u = rb.Yu @ weights["answer.b"]
+            runs = list(zip(slices, firsts, firsts[1:]))
+            for (adapter, start, stop), first, last in runs:
+                _add_rank_terms(
+                    H_pre[start:stop], rb.X[start:stop], adapter, "encoder.W1"
+                )
+                _add_rank_terms(
+                    Vy_u[first:last], rb.Yu[first:last], adapter, "answer.V"
+                )
+            H = relu(H_pre)
+            U = H @ weights["encoder.W2"].T + weights["encoder.b2"]
+            for (adapter, start, stop), __, __ in runs:
+                _add_rank_terms(
+                    U[start:stop], H[start:stop], adapter, "encoder.W2"
+                )
+            logits, __, __ = self._slot_logits(rb, U, Vy_u, yb_u)
+        return logits, rb.offsets
 
     # ------------------------------------------------------------------
     # Single-example API (one-row batches of the same engine)

@@ -327,7 +327,7 @@ def test_gate_writes_and_checks(tmp_path, monkeypatch):
     assert data == {"preset": "paper", "min_speedup": 3.0, "speedup": 4.0}
     (line,) = gate.trajectory_path.read_text().splitlines()
     row = json.loads(line)
-    for key in ("commit", "date", "cpu_count", "numpy"):
+    for key in ("commit", "dirty", "date", "cpu_count", "numpy"):
         row.pop(key)  # provenance: see test_gate_row_records_provenance
     assert row == {
         "bench": "demo", "preset": "paper", "speedup": 4.0, "extra": 1,
@@ -340,12 +340,11 @@ def test_gate_writes_and_checks(tmp_path, monkeypatch):
 def _trajectory_row(root):
     gate = Gate("demo", {"speedup": 2.0}, root=root)
     gate.write(speedup=2.0)
-    (line,) = gate.trajectory_path.read_text().splitlines()
-    return json.loads(line)
+    return json.loads(gate.trajectory_path.read_text().splitlines()[-1])
 
 
 def test_gate_row_records_provenance(tmp_path):
-    """A trajectory row names the commit, time, CPUs and numpy it ran on."""
+    """A trajectory row names the commit, tree state, time, CPUs and numpy."""
     import datetime
     import os
     import shutil
@@ -357,9 +356,12 @@ def test_gate_row_records_provenance(tmp_path):
         pytest.skip("git is not installed")
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
     subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    # The gate's own outputs must not make the tree dirty.
+    ignore = tmp_path / ".gitignore"
+    ignore.write_text("BENCH_*.json\nbenchmarks/\n")
+    subprocess.run(git + ["add", ".gitignore"], cwd=tmp_path, check=True)
     subprocess.run(
-        git + ["commit", "-q", "--allow-empty", "-m", "root"],
-        cwd=tmp_path, check=True,
+        git + ["commit", "-q", "-m", "root"], cwd=tmp_path, check=True,
     )
     head = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=tmp_path,
@@ -369,6 +371,7 @@ def test_gate_row_records_provenance(tmp_path):
     row = _trajectory_row(tmp_path)
     after = datetime.datetime.now(datetime.timezone.utc)
     assert row["commit"] == head
+    assert row["dirty"] is False
     stamp = datetime.datetime.strptime(
         row["date"], "%Y-%m-%dT%H:%M:%SZ"
     ).replace(tzinfo=datetime.timezone.utc)
@@ -377,11 +380,17 @@ def test_gate_row_records_provenance(tmp_path):
     assert row["numpy"] == numpy.__version__
     assert row["speedup"] == 2.0
 
+    ignore.write_text("BENCH_*.json\nbenchmarks/\n*.tmp\n")  # uncommitted
+    row = _trajectory_row(tmp_path)
+    assert row["commit"] == head
+    assert row["dirty"] is True
+
 
 def test_gate_row_commit_is_none_without_git(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", "")  # no git executable to find
     row = _trajectory_row(tmp_path)
     assert row["commit"] is None
+    assert row["dirty"] is None
     assert row["cpu_count"] is not None and row["date"].endswith("Z")
 
 

@@ -1,15 +1,20 @@
-"""Tests for repro.serve — registry, hot-swap parity, protocol, batching."""
+"""Tests for repro.serve — registry, rank-space parity, protocol, batching."""
 
+import asyncio
 import json
 import socket
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.perf import PERF
 from repro.serve import (
+    AdaptationServer,
     ServeClient,
     ServerThread,
     TenantRegistry,
+    _Pending,
     build_demo_registry,
     build_workload,
     drive_clients,
@@ -62,7 +67,7 @@ class TestRegistry:
         assert swapped is False
         # The no-op path must not bump the version: that would
         # invalidate the effective-weight memo and re-materialise the
-        # fusion deltas on every same-tenant dispatch.
+        # fusion deltas on every same-tenant oracle call.
         assert backbone._adapter_version == version
         __, swapped = registry.ensure_attached(second)
         assert swapped is True
@@ -72,30 +77,6 @@ class TestRegistry:
         with pytest.raises(KeyError):
             TenantRegistry().load_tier("not-a-tier")
 
-
-# ----------------------------------------------------------------------
-# Hot-swap correctness: shared backbone == isolated per-tenant models
-# ----------------------------------------------------------------------
-class TestHotSwapParity:
-    def test_interleaved_swaps_match_isolated_models(self, registry, workload):
-        """Interleaved attach/predict across two tenants on one shared
-        backbone must be bit-identical to two fully isolated models."""
-        entries = {e.tenant: e for e in registry.entries.values()}
-        shared = registry.backbones["serve-demo"]
-        isolated = {}
-        for tenant, entry in entries.items():
-            model = shared.clone()
-            model.detach()
-            model.attach(entry.adapter)
-            isolated[tenant] = model
-        for item in workload:  # tenant-alternating by construction
-            entry = entries[item["tenant"]]
-            backbone, __ = registry.ensure_attached(entry)
-            got = backbone.predict_batch(item["prompts"], item["pools"])
-            want = isolated[item["tenant"]].predict_batch(
-                item["prompts"], item["pools"]
-            )
-            assert got == want
 
     def test_detach_restores_base_predictions(self):
         registry = build_demo_registry(tenants=1, seed=3, n_patches=2)
@@ -114,6 +95,201 @@ class TestHotSwapParity:
         assert backbone.adapter is None
         got = backbone.predict_batch(item["prompts"], item["pools"])
         assert got == base.predict_batch(item["prompts"], item["pools"])
+
+
+# ----------------------------------------------------------------------
+# Rank-space scoring: shared backbone == isolated per-tenant models
+# ----------------------------------------------------------------------
+def _isolated(backbone, adapter):
+    """A clone of ``backbone`` with ``adapter`` attached densely."""
+    model = backbone.clone()
+    if adapter is not None:
+        model.attach(adapter)
+    return model
+
+
+def _assert_matches_isolated(backbone, prompts, pools, slices):
+    """Mixed-batch logits == each slice's isolated dense model.
+
+    The contract: argmax identical, logits within rtol 1e-9.
+    """
+    flat, offsets = backbone._mixed_logits(prompts, pools, slices)
+    predictions = backbone.predict_mixed(prompts, pools, slices)
+    for adapter, start, stop in slices:
+        model = _isolated(backbone, adapter)
+        want, __ = model.forward_batch(prompts[start:stop], pools[start:stop])
+        np.testing.assert_allclose(
+            flat[offsets[start] : offsets[stop]], want, rtol=1e-9, atol=0
+        )
+        assert predictions[start:stop] == model.predict_batch(
+            prompts[start:stop], pools[start:stop]
+        )
+
+
+def _serve_one_batch(registry, items):
+    """Dispatch ``items`` as one coalesced batch; returns the results."""
+    server = AdaptationServer(registry)
+    loop = asyncio.new_event_loop()
+    try:
+        batch = [
+            _Pending(
+                key=(item["tenant"], item["dataset"], item["task"]),
+                prompts=item["prompts"],
+                pools=item["pools"],
+                future=loop.create_future(),
+                accepted=0.0,
+            )
+            for item in items
+        ]
+        server._dispatch(batch)
+        return [pending.future.result() for pending in batch]
+    finally:
+        loop.close()
+
+
+class TestRankSpaceParity:
+    def test_interleaved_tenants_match_isolated_models(
+        self, registry, workload
+    ):
+        """Tenant-alternating requests on one shared backbone score like
+        fully isolated models with each adapter attached."""
+        backbone = registry.backbones["serve-demo"]
+        for item in workload:  # tenant-alternating by construction
+            entry = registry.get(item["tenant"], item["dataset"], item["task"])
+            slices = [(entry.adapter, 0, len(item["prompts"]))]
+            _assert_matches_isolated(
+                backbone, item["prompts"], item["pools"], slices
+            )
+        with ServerThread(registry, max_batch=1, max_wait_ms=0.0) as server:
+            responses, __ = drive_clients(
+                "127.0.0.1", server.port, workload, clients=1
+            )
+        for item, response in zip(workload, responses):
+            entry = registry.get(item["tenant"], item["dataset"], item["task"])
+            model = _isolated(backbone, entry.adapter)
+            assert response["predictions"] == model.predict_batch(
+                item["prompts"], item["pools"]
+            )
+
+    def test_one_batch_mixes_two_tenants_and_the_base(self):
+        registry = build_demo_registry(tenants=2, seed=5, n_patches=3)
+        backbone = registry.backbones["serve-demo"]
+        # Let the adapters, not the untrained copy head, decide the
+        # argmax, so a slice scored with the wrong adapter shows.
+        backbone.weights["copy.gamma"][:] = 0.0
+        for entry in registry.entries.values():
+            for target in entry.adapter.new_patch.A:
+                entry.adapter.new_patch.A[target] *= 10.0
+        entry = next(iter(registry.entries.values()))
+        registry.add_entry(
+            "base-tenant", entry.dataset, entry.task, None, entry.backbone
+        )
+        workload = build_workload(
+            registry, requests=6, prompts_per_request=3, seed=5
+        )
+        assert {item["tenant"] for item in workload[:3]} == {
+            "tenant0", "tenant1", "base-tenant",
+        }
+        prompts = [p for item in workload for p in item["prompts"]]
+        pools = [pool for item in workload for pool in item["pools"]]
+        slices = [
+            (registry.get(item["tenant"], item["dataset"], item["task"])
+             .adapter, 3 * i, 3 * i + 3)
+            for i, item in enumerate(workload)
+        ]
+        assert slices[2][0] is None
+        _assert_matches_isolated(backbone, prompts, pools, slices)
+        outputs = [
+            _isolated(backbone, adapter).predict_batch(prompts, pools)
+            for adapter, __, __ in slices[:3]
+        ]
+        assert len({tuple(out) for out in outputs}) == 3
+
+        results = _serve_one_batch(registry, workload)
+        for item, result in zip(workload, results):
+            entry = registry.get(item["tenant"], item["dataset"], item["task"])
+            model = _isolated(backbone, entry.adapter)
+            assert result["ok"] and result["batch_size"] == len(workload)
+            assert result["group_size"] == 2
+            assert result["predictions"] == model.predict_batch(
+                item["prompts"], item["pools"]
+            )
+
+    def test_slices_must_tile_the_batch(self, registry):
+        backbone = registry.backbones["serve-demo"]
+        prompts, pools = ["a", "b"], [["yes", "no"], ["yes", "no"]]
+        for slices in (
+            [(None, 0, 1)],
+            [(None, 0, 1), (None, 0, 2)],
+            [(None, 1, 2), (None, 0, 1)],
+            [(None, 0, 0), (None, 0, 2)],
+        ):
+            with pytest.raises(ValueError):
+                backbone.predict_mixed(prompts, pools, slices)
+        assert backbone.predict_mixed([], [], []) == []
+
+    def test_tenant_right_after_stream_update(self):
+        registry = build_demo_registry(tenants=2, seed=7, n_patches=2)
+        backbone = registry.backbones["serve-demo"]
+        entry = registry.get("tenant0", "em/abt_buy", "em")
+        workload = [
+            item
+            for item in build_workload(registry, requests=4, seed=7)
+            if item["tenant"] == "tenant0"
+        ]
+        item = workload[0]
+        targets = [1] * len(item["prompts"])
+        with ServerThread(registry, max_batch=8) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                before = client.predict(
+                    "tenant0", "em/abt_buy", "em",
+                    item["prompts"], item["pools"],
+                )["predictions"]
+                client.stream_update(
+                    "tenant0", "em/abt_buy", "em", item["prompts"],
+                    item["pools"], targets, epochs=4, learning_rate=5e-2,
+                )
+                after = client.predict(
+                    "tenant0", "em/abt_buy", "em",
+                    item["prompts"], item["pools"],
+                )["predictions"]
+        assert after == targets != before
+        # The adapter was trained in place: an isolated dense model of
+        # its current arrays is the oracle for the next dispatch.
+        assert after == _isolated(backbone, entry.adapter).predict_batch(
+            item["prompts"], item["pools"]
+        )
+        slices = [(entry.adapter, 0, len(item["prompts"]))]
+        _assert_matches_isolated(
+            backbone, item["prompts"], item["pools"], slices
+        )
+
+    def test_serving_never_attaches_or_materializes(self):
+        registry = build_demo_registry(tenants=2, seed=9, n_patches=3)
+        backbone = registry.backbones["serve-demo"]
+        workload = build_workload(registry, requests=8, seed=9)
+        version = backbone._adapter_version
+        materialized = PERF.counter("model.weight_materializations")
+        with ServerThread(registry, max_batch=8, max_wait_ms=5.0) as server:
+            responses, __ = drive_clients(
+                "127.0.0.1", server.port, workload, clients=3
+            )
+            item = workload[0]
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.stream_update(
+                    item["tenant"], item["dataset"], item["task"],
+                    item["prompts"], item["pools"], [0] * len(item["prompts"]),
+                )
+                client.predict(
+                    item["tenant"], item["dataset"], item["task"],
+                    item["prompts"], item["pools"],
+                )
+                stats = client.stats()
+        assert all(response["ok"] for response in responses)
+        assert backbone.adapter is None
+        assert backbone._adapter_version == version
+        assert PERF.counter("model.weight_materializations") == materialized
+        assert "adapter_swaps" not in stats
 
 
 # ----------------------------------------------------------------------
@@ -214,9 +390,25 @@ class TestBatching:
             )
         assert [r["predictions"] for r in responses] == offline
 
+    def test_lone_request_skips_the_straggler_window(self, registry, workload):
+        item = workload[0]
+        with ServerThread(registry, max_batch=16, max_wait_ms=200.0) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                responses = [
+                    client.predict(
+                        item["tenant"], item["dataset"], item["task"],
+                        item["prompts"], item["pools"],
+                    )
+                    for __ in range(3)
+                ]
+        for response in responses:
+            assert response["batch_size"] == 1
+            assert response["queue_ms"] < 50.0
+
     def test_smoke_runner(self):
         result = run_smoke(clients=3, requests=6, prompts_per_request=2)
         assert result["ok"] and result["predictions_identical"]
+        assert result["weight_materializations"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +470,10 @@ class TestStreamUpdate:
         pools = [["yes", "no"] for _ in range(n)]
         return prompts, pools
 
-    def test_update_trains_resident_adapter_in_place(self):
+    def test_update_trains_adapter_in_place(self):
         registry = self._fresh()
+        adapter = registry.get("tenant0", "em/abt_buy", "em").adapter
+        lambdas = adapter.lambdas
         prompts, pools = self._workload()
         with ServerThread(registry, max_batch=8) as server:
             client = ServeClient("127.0.0.1", server.port)
@@ -288,7 +482,10 @@ class TestStreamUpdate:
                 "tenant0", "em/abt_buy", "em", prompts, pools, [0] * 6,
                 epochs=4, learning_rate=5e-2,
             )
-            assert response["resident_memo_invalidated"] is True
+            assert registry.get(
+                "tenant0", "em/abt_buy", "em"
+            ).adapter is adapter
+            assert adapter.lambdas is lambdas  # updated in place
             assert response["stream_rows"] == 6
             assert response["stream_batches"] == 1
             after = client.predict(
@@ -299,13 +496,12 @@ class TestStreamUpdate:
             client.shutdown()
             client.close()
 
-    def test_non_resident_update_preserves_memo(self):
+    def test_update_leaves_other_tenants_untouched(self):
         registry = self._fresh()
         prompts, pools = self._workload()
         backbone = registry.backbones["serve-demo"]
         with ServerThread(registry, max_batch=8) as server:
             client = ServeClient("127.0.0.1", server.port)
-            # make tenant1 resident, then train tenant0 behind its back
             before = client.predict(
                 "tenant1", "em/abt_buy", "em", prompts, pools
             )["predictions"]
@@ -313,11 +509,9 @@ class TestStreamUpdate:
             response = client.stream_update(
                 "tenant0", "em/abt_buy", "em", prompts, pools, [0] * 6
             )
-            assert response["resident_memo_invalidated"] is False
+            assert "resident_memo_invalidated" not in response
             assert backbone._adapter_version == version
-            assert backbone.adapter is registry.entries[
-                ("tenant1", "em/abt_buy", "em")
-            ].adapter
+            assert backbone.adapter is None
             again = client.predict(
                 "tenant1", "em/abt_buy", "em", prompts, pools
             )["predictions"]
