@@ -15,7 +15,20 @@ Quickstart::
     splits = load_splits("em/abt_buy")         # a novel downstream dataset
     adapted = KnowTrans(bundle).fit(splits)    # SKC + AKB adaptation
     print(evaluate_method(adapted, splits.test.examples, adapted.task.name))
+
+Importing the package pins BLAS to one thread per process (before numpy
+loads) unless the environment already sets a count: the engine's GEMMs
+are small, a second thread mostly adds synchronisation, and forked
+workers would otherwise oversubscribe the CPUs.  An explicit
+``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS``
+wins; a process that loaded numpy before importing ``repro`` keeps the
+thread count numpy started with.
 """
+
+import os as _os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_name, "1")
 
 from .baselines.jellyfish import UpstreamBundle, get_bundle
 from .core.config import AKBConfig, KnowTransConfig, SKCConfig

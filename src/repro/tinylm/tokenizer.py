@@ -15,7 +15,9 @@ the sparse rows themselves live in an LRU-bounded text cache.  Because
 featurization is a pure function of ``(salt, dim, flags, text)``, the
 caches are content-addressed and shared process-wide between featurizer
 instances with the same configuration — clones and per-tier baselines
-never re-hash a string any instance has seen.
+never re-hash a string any instance has seen.  A second, finer memo maps
+each token to its unigram and character-trigram features, so a text
+never seen before still costs one dict hit per known token.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+from array import array
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -74,9 +77,11 @@ def tokenize(text: str) -> List[str]:
 
     ``[special_markers]`` (e.g. ``[missing]`` or ``[fmt_violation_abv]``)
     survive as single tokens so that derived knowledge features hash to a
-    single stable bucket.
+    single stable bucket.  No token pattern matches whitespace, so
+    tokenizing the lowercased text gives the same tokens as tokenizing
+    :func:`normalize`'s output without paying for its whitespace pass.
     """
-    return _TOKEN_RE.findall(normalize(text))
+    return _TOKEN_RE.findall(text.lower())
 
 
 def count_tokens(text: str) -> int:
@@ -93,6 +98,12 @@ def _stable_hash(data: str) -> int:
 #: indices and their accumulated (unit-norm) signed weights.  Both
 #: arrays are marked read-only because they are shared via the cache.
 SparseRow = Tuple[np.ndarray, np.ndarray]
+
+#: One token's unigram and character-trigram features before
+#: accumulation, as the native bytes of an int64 array of feature codes
+#: (see :meth:`HashedFeaturizer._bucket`): rows of consecutive tokens
+#: concatenate into one code array with a single ``bytes.join``.
+TokenRow = bytes
 
 
 class HashedFeaturizer:
@@ -127,16 +138,21 @@ class HashedFeaturizer:
     #: encoder cannot, so markers get elevated mass instead.
     MARKER_WEIGHT = 4.0
 
+    #: Pre-normalisation weight of each feature-code kind (``code & 3``):
+    #: bit 0 is the hash sign, bit 1 marks a ``[marker]`` unigram.
+    _CODE_WEIGHTS = np.array([-1.0, 1.0, -MARKER_WEIGHT, MARKER_WEIGHT])
+
     #: Default bound on the per-configuration text→sparse LRU cache.
     SPARSE_CACHE_SIZE = 32768
 
-    #: Feature→bucket entries stop being added past this many (the map
-    #: stays correct — misses simply re-hash).
+    #: Feature→code and token→row entries stop being added past this
+    #: many (the maps stay correct — misses simply re-hash).
     BUCKET_CACHE_CAP = 1_000_000
 
     #: Process-wide caches, keyed by configuration.  Content-addressed
     #: and never invalidated: hashing is a pure function of the key.
-    _BUCKET_CACHES: Dict[Tuple, Dict[str, Tuple[int, float]]] = {}
+    _BUCKET_CACHES: Dict[Tuple, Dict[str, int]] = {}
+    _TOKEN_CACHES: Dict[Tuple, Dict[str, TokenRow]] = {}
     _SPARSE_CACHES: Dict[Tuple, "OrderedDict[str, SparseRow]"] = {}
 
     def __init__(
@@ -154,35 +170,19 @@ class HashedFeaturizer:
         self.use_char_ngrams = use_char_ngrams
         self.salt = salt
         self.cache_size = resolve_cache_size(self.SPARSE_CACHE_SIZE, cache_size)
-        # Buckets depend only on (salt, dim); sparse rows additionally on
-        # the n-gram flags and the eviction bound.
-        self._cache = self._BUCKET_CACHES.setdefault((salt, dim), {})
-        # Keyed by the *resolved* size (matching __setstate__): two
-        # featurizers share rows only when their eviction bound agrees,
-        # so an env-bounded instance never inherits an unbounded cache.
-        self._sparse_cache = self._SPARSE_CACHES.setdefault(
-            (salt, dim, use_bigrams, use_char_ngrams, self.cache_size),
-            OrderedDict(),
-        )
+        self._connect_caches()
 
-    def __getstate__(self):
-        """Pickle the configuration only, never the shared caches.
+    def _connect_caches(self) -> None:
+        """Alias this configuration's entries in the process-wide caches.
 
-        The instance attributes ``_cache`` / ``_sparse_cache`` alias the
-        process-wide content-addressed caches; shipping those to worker
-        processes would be pure dead weight (and they re-derive from
-        text anyway).  Unpickling reconnects to the *receiving*
-        process's shared caches for the same configuration.
+        Buckets depend only on ``(salt, dim)``; token rows additionally
+        on ``use_char_ngrams``; sparse rows on both n-gram flags and the
+        *resolved* eviction bound, so an env-bounded instance never
+        inherits an unbounded cache.
         """
-        state = self.__dict__.copy()
-        state.pop("_cache", None)
-        state.pop("_sparse_cache", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._cache = self._BUCKET_CACHES.setdefault(
-            (self.salt, self.dim), {}
+        self._cache = self._BUCKET_CACHES.setdefault((self.salt, self.dim), {})
+        self._token_cache = self._TOKEN_CACHES.setdefault(
+            (self.salt, self.dim, self.use_char_ngrams), {}
         )
         self._sparse_cache = self._SPARSE_CACHES.setdefault(
             (
@@ -195,10 +195,31 @@ class HashedFeaturizer:
             OrderedDict(),
         )
 
+    def __getstate__(self):
+        """Pickle the configuration only, never the shared caches.
+
+        The instance attributes ``_cache`` / ``_token_cache`` /
+        ``_sparse_cache`` alias the process-wide content-addressed
+        caches; shipping those to worker processes would be pure dead
+        weight (and they re-derive from text anyway).  Unpickling
+        reconnects to the *receiving* process's shared caches for the
+        same configuration.
+        """
+        state = self.__dict__.copy()
+        state.pop("_cache", None)
+        state.pop("_token_cache", None)
+        state.pop("_sparse_cache", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._connect_caches()
+
     @classmethod
     def clear_shared_caches(cls) -> None:
         """Drop all process-wide featurization caches (tests/benchmarks)."""
         cls._BUCKET_CACHES.clear()
+        cls._TOKEN_CACHES.clear()
         cls._SPARSE_CACHES.clear()
 
     def seed_sparse_cache(self, rows: Iterable[Tuple[str, SparseRow]]) -> None:
@@ -223,31 +244,42 @@ class HashedFeaturizer:
             if len(cache) > self.cache_size:
                 cache.popitem(last=False)
 
-    def _bucket(self, feature: str) -> Tuple[int, float]:
-        """Return (index, sign) for a feature string, memoised."""
+    def _bucket(self, feature: str) -> int:
+        """Return a feature's code ``index << 2 | sign_bit``, memoised.
+
+        ``sign_bit`` 1 means weight +1, 0 means -1; :meth:`_token_row`
+        sets bit 1 on a marker unigram (weight ±:attr:`MARKER_WEIGHT`).
+        """
         hit = self._cache.get(feature)
         if hit is not None:
             return hit
         h = _stable_hash(self.salt + "\x00" + feature)
-        index = h % self.dim
-        sign = 1.0 if (h >> 63) & 1 else -1.0
+        code = (h % self.dim) << 2 | (h >> 63) & 1
         if len(self._cache) < self.BUCKET_CACHE_CAP:
-            self._cache[feature] = (index, sign)
-        return index, sign
+            self._cache[feature] = code
+        return code
 
-    def _features(self, tokens: List[str]) -> Iterable[str]:
-        for tok in tokens:
-            yield "w:" + tok
-        if self.use_bigrams:
-            for left, right in zip(tokens, tokens[1:]):
-                yield "b:" + left + "_" + right
-        if self.use_char_ngrams:
-            for tok in tokens:
-                if tok.startswith("["):
-                    continue  # markers are atomic
-                padded = "^" + tok + "$"
-                for i in range(len(padded) - 2):
-                    yield "c:" + padded[i : i + 3]
+    def _token_row(self, token: str) -> TokenRow:
+        """A token's unigram and char-trigram feature codes, memoised.
+
+        ``[markers]`` get :attr:`MARKER_WEIGHT` and no trigrams (they
+        are atomic).
+        """
+        bucket = self._bucket
+        if token.startswith("["):
+            codes = [bucket("w:" + token) | 2]
+        elif self.use_char_ngrams:
+            padded = "^" + token + "$"
+            codes = [bucket("w:" + token)]
+            codes += [
+                bucket("c:" + padded[i : i + 3]) for i in range(len(padded) - 2)
+            ]
+        else:
+            codes = [bucket("w:" + token)]
+        row = array("q", codes).tobytes()
+        if len(self._token_cache) < self.BUCKET_CACHE_CAP:
+            self._token_cache[token] = row
+        return row
 
     # ------------------------------------------------------------------
     # Sparse path (the substrate the dense APIs are built on)
@@ -270,26 +302,35 @@ class HashedFeaturizer:
         PERF.count("featurizer.sparse_misses")
         obs.counter("featurizer.sparse_miss")
         tokens = tokenize(text)
-        bucket = self._bucket
-        marker_weight = self.MARKER_WEIGHT
-        raw_indices: List[int] = []
-        raw_values: List[float] = []
-        for feature in self._features(tokens):
-            index, sign = bucket(feature)
-            raw_indices.append(index)
-            raw_values.append(
-                sign * marker_weight if feature.startswith("w:[") else sign
+        if tokens:
+            token_cache = self._token_cache
+            parts: List[bytes] = []
+            for token in tokens:
+                known = token_cache.get(token)
+                parts.append(self._token_row(token) if known is None else known)
+            if self.use_bigrams:
+                bucket = self._bucket
+                bigrams = [
+                    bucket("b:" + left + "_" + right)
+                    for left, right in zip(tokens, tokens[1:])
+                ]
+                parts.append(array("q", bigrams).tobytes())
+            codes = np.frombuffer(b"".join(parts), dtype=np.int64)
+            # Every raw weight is ±1 or ±MARKER_WEIGHT (±4), so each
+            # bucket's sum is a small integer that float64 adds exactly
+            # in any order: grouping features by token instead of by
+            # kind leaves the sums, the support and the norm unchanged.
+            # The support is every *occupied* bucket, including ones
+            # whose features cancel to 0.
+            occupied = codes >> 2
+            counts = np.bincount(occupied, minlength=self.dim)
+            sums = np.bincount(
+                occupied,
+                weights=self._CODE_WEIGHTS[codes & 3],
+                minlength=self.dim,
             )
-        if raw_indices:
-            # Accumulate duplicate buckets with a vectorized bincount;
-            # per-bucket addition order matches encounter order, so the
-            # sums are bit-identical to a sequential scatter loop.
-            occupied = np.asarray(raw_indices, dtype=np.intp)
-            weights = np.asarray(raw_values, dtype=np.float64)
-            indices, inverse = np.unique(occupied, return_inverse=True)
-            values = np.bincount(
-                inverse.ravel(), weights=weights, minlength=indices.size
-            )
+            indices = np.flatnonzero(counts)
+            values = sums[indices]
             norm = float(np.sqrt(values @ values))
             if norm > 0.0:
                 values /= norm

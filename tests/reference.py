@@ -13,19 +13,40 @@ benchmark, as the references the fast paths are checked against:
   deltas;
 * :class:`DenseTrainer` — a :class:`Trainer` that takes the dense step
   even on a frozen-backbone fit.
+
+The featurizer's per-token memo regroups the same integer-valued sums,
+so its fast path must be *bit-identical* to the per-feature loop it
+replaced, kept here as :func:`reference_encode_sparse` (with
+:func:`reference_features` and :func:`reference_bucket`, which hash
+every feature afresh and never touch the production caches).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.tinylm.fusion import PatchFusion
 from repro.tinylm.lora import LoRAPatch
+from repro.tinylm.tokenizer import (
+    _TOKEN_RE,
+    HashedFeaturizer,
+    SparseRow,
+    _stable_hash,
+    normalize,
+)
 from repro.tinylm.trainer import Trainer
 
-__all__ = ["dense_fusion_grads", "dense_frobenius_norm", "DenseTrainer"]
+__all__ = [
+    "dense_fusion_grads",
+    "dense_frobenius_norm",
+    "DenseTrainer",
+    "reference_tokenize",
+    "reference_features",
+    "reference_bucket",
+    "reference_encode_sparse",
+]
 
 
 def dense_fusion_grads(
@@ -72,3 +93,54 @@ class DenseTrainer(Trainer):
 
     def _use_rank_space(self) -> bool:
         return False
+
+
+def reference_tokenize(text: str) -> List[str]:
+    """Tokens of the normalised text (whitespace collapsed first)."""
+    return _TOKEN_RE.findall(normalize(text))
+
+
+def reference_features(
+    featurizer: HashedFeaturizer, tokens: List[str]
+) -> Iterator[str]:
+    """Every feature string of a token list, grouped by kind."""
+    for tok in tokens:
+        yield "w:" + tok
+    if featurizer.use_bigrams:
+        for left, right in zip(tokens, tokens[1:]):
+            yield "b:" + left + "_" + right
+    if featurizer.use_char_ngrams:
+        for tok in tokens:
+            if tok.startswith("["):
+                continue  # markers are atomic
+            padded = "^" + tok + "$"
+            for i in range(len(padded) - 2):
+                yield "c:" + padded[i : i + 3]
+
+
+def reference_bucket(featurizer: HashedFeaturizer, feature: str) -> Tuple[int, float]:
+    """``(index, sign)`` of one feature, hashed without any memo."""
+    h = _stable_hash(featurizer.salt + "\x00" + feature)
+    return h % featurizer.dim, 1.0 if (h >> 63) & 1 else -1.0
+
+
+def reference_encode_sparse(featurizer: HashedFeaturizer, text: str) -> SparseRow:
+    """:meth:`HashedFeaturizer.encode_sparse` as one step per feature."""
+    raw_indices: List[int] = []
+    raw_values: List[float] = []
+    for feature in reference_features(featurizer, reference_tokenize(text)):
+        index, sign = reference_bucket(featurizer, feature)
+        raw_indices.append(index)
+        raw_values.append(
+            sign * featurizer.MARKER_WEIGHT if feature.startswith("w:[") else sign
+        )
+    if not raw_indices:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
+    occupied = np.asarray(raw_indices, dtype=np.intp)
+    weights = np.asarray(raw_values, dtype=np.float64)
+    indices, inverse = np.unique(occupied, return_inverse=True)
+    values = np.bincount(inverse.ravel(), weights=weights, minlength=indices.size)
+    norm = float(np.sqrt(values @ values))
+    if norm > 0.0:
+        values /= norm
+    return indices, values

@@ -15,7 +15,12 @@ from repro.knowledge.seed import seed_knowledge
 from repro.tasks.base import get_task
 from repro.tinylm.linalg import relu, relu_grad, softmax
 from repro.tinylm.model import ModelConfig, ScoringLM
-from repro.tinylm.tokenizer import HashedFeaturizer, tokenize
+from repro.tinylm.tokenizer import HashedFeaturizer
+from tests.reference import (
+    reference_bucket,
+    reference_features,
+    reference_tokenize,
+)
 
 # One downstream dataset per task, covering all seven tasks.
 TASK_DATASETS = {
@@ -37,8 +42,8 @@ ATOL = 1e-10
 def reference_encode(featurizer: HashedFeaturizer, text: str) -> np.ndarray:
     """The original dense scalar-scatter featurizer loop."""
     vec = np.zeros(featurizer.dim)
-    for feature in featurizer._features(tokenize(text)):
-        index, sign = featurizer._bucket(feature)
+    for feature in reference_features(featurizer, reference_tokenize(text)):
+        index, sign = reference_bucket(featurizer, feature)
         weight = (
             featurizer.MARKER_WEIGHT if feature.startswith("w:[") else 1.0
         )

@@ -345,6 +345,27 @@ class TestWarmStarts:
         for ref, got in zip(reference, seeded):
             np.testing.assert_array_equal(ref, got)
 
+    def test_featurization_roundtrip_is_byte_identical(self, store):
+        from repro.tinylm.tokenizer import HashedFeaturizer
+        from tests.reference import reference_encode_sparse
+
+        texts = ["[missing] entity one", "entity two two", "   "]
+        featurizer = HashedFeaturizer(dim=128, salt="store-memo-test")
+        with artifact_store.using_store(store):
+            artifact_store.warm_featurizations(featurizer, texts)
+            HashedFeaturizer.clear_shared_caches()
+            fresh = HashedFeaturizer(dim=128, salt="store-memo-test")
+            artifact_store.warm_featurizations(fresh, texts)
+        # Seeded rows come from the store, so no token was re-hashed.
+        assert fresh._token_cache == {}
+        for text in texts:
+            indices, values = fresh.encode_sparse(text)
+            want_indices, want_values = reference_encode_sparse(fresh, text)
+            assert indices.dtype == want_indices.dtype
+            assert values.dtype == want_values.dtype
+            np.testing.assert_array_equal(indices, want_indices)
+            assert values.tobytes() == want_values.tobytes()
+
 
 # ----------------------------------------------------------------------
 # Maintenance and stats
