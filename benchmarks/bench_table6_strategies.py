@@ -1,18 +1,46 @@
-"""Regenerates paper Table VI: patch weighting strategies.
+"""Regenerates paper Table VI: patch weighting strategies, over 3 seeds.
 
-Expected shape: single < uniform ≤ adaptive ≤ full KnowTrans on
-average — dynamically weighted upstream knowledge beats both no
-upstream knowledge and fixed uniform mixing.
+The paper reports single < uniform ≤ adaptive ≤ full KnowTrans.  At the
+quick preset, over seeds 0–2, this bench checks only what the measured
+rows support:
+
+* full KnowTrans beats every other column at each seed;
+* on the seed mean, single is below both fusion strategies
+  (measured 46.69 single, 49.29 uniform, 49.11 adaptive).
+
+Uniform against adaptive is unresolved at the quick preset: the gap
+flips sign across seeds and is smaller than one test example moves a
+cell on the 39–42-example test splits, and the quick fine-tune leaves
+adaptive's λ close to uniform's fixed 1/12.  No assertion is made on it.
 """
+
+import statistics
 
 from conftest import run_once
 
 from repro.eval.experiments import table6_weight_strategies
+from repro.eval.repeats import repeat_experiment
+
+SEEDS = (0, 1, 2)
+OTHERS = ("single", "uniform", "adaptive")
 
 
-def test_table6(benchmark, ctx, record_result):
-    result = run_once(benchmark, lambda: table6_weight_strategies(ctx))
+def test_table6_across_seeds(benchmark, ctx, record_result):
+    result = run_once(
+        benchmark,
+        lambda: repeat_experiment(
+            table6_weight_strategies, ctx, seeds=SEEDS,
+            title="Table VI, mean ± std over 3 seeds",
+        ),
+    )
     record_result("table6_strategies", result["text"])
-    average = result["rows"][-1]
-    assert average["knowtrans"] > average["single"]
-    assert average["adaptive"] > average["single"] - 2.0
+    averages = [run[-1] for run in result["runs"]]
+    for seed, row in zip(SEEDS, averages):
+        for column in OTHERS:
+            assert row["knowtrans"] > row[column], (seed, column, row)
+    mean = {
+        column: statistics.fmean(row[column] for row in averages)
+        for column in OTHERS
+    }
+    assert mean["single"] < mean["uniform"], mean
+    assert mean["single"] < mean["adaptive"], mean

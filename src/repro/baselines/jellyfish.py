@@ -104,7 +104,7 @@ def upstream_sft(
     for dataset in datasets:
         examples.extend(dataset_training_examples(dataset))
     trainer = Trainer(model, train_config, train_base=True)
-    trainer.fit(examples)
+    trainer.fit(examples, purpose="sft")
     if store_key is not None:
         store.put("upstream_sft", store_key, _weight_payload(model))
     return model

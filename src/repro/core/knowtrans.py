@@ -5,12 +5,14 @@ Concentration (attach fused upstream patches, few-shot fine-tune) and
 Automatic Knowledge Bridging (search dataset-informed knowledge with a
 closed-source LLM) and returns an :class:`AdaptedModel` ready for
 inference on the novel dataset.  Ablation switches (``use_skc`` /
-``use_akb`` / ``strategy``) reproduce the paper's Table V and VI rows.
+``use_akb`` / ``strategy``) reproduce the paper's Table V and VI rows;
+:meth:`AdaptedModel.without_akb` gives an AKB fit's no-AKB column
+without fine-tuning the same adapter again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -61,6 +63,22 @@ class AdaptedModel:
         )
         return self.task.predict_batch(
             self.model, examples, self.knowledge, self.dataset
+        )
+
+    def without_akb(self) -> "AdaptedModel":
+        """The same fine-tuned adapter, prompted with seed knowledge.
+
+        AKB searches prompt knowledge at inference time and never
+        touches the weights, so for the same strategy this is exactly
+        what ``KnowTrans(use_akb=False).fit`` builds: both fine-tune
+        through :func:`_fused_finetune` on identical inputs.  The model
+        is shared, not copied.
+        """
+        return replace(
+            self,
+            knowledge=seed_knowledge(self.task.name),
+            akb_result=None,
+            fusion_weights=dict(self.fusion_weights),
         )
 
 
@@ -138,7 +156,7 @@ def _load_fusion_state(fusion, state) -> bool:
 
 def _fused_finetune(
     upstream_model, patches, skc_config, strategy, name, train_dataset,
-    knowledge,
+    knowledge, purpose="finetune",
 ):
     """SKC stages 2-3 with a warm start (shared by fit and the shadows).
 
@@ -148,7 +166,7 @@ def _fused_finetune(
     training data, prompt knowledge) or runs the few-shot fine-tune and
     persists the result.  Loading mutates only the freshly-built fusion —
     ``build_adapter`` clones the upstream patches, so the caller's patch
-    list is never touched.
+    list is never touched.  ``purpose`` only labels the trainer's span.
     """
     store = artifact_store.active()
     store_key = None
@@ -182,7 +200,7 @@ def _fused_finetune(
                 return model, fusion
             # structurally unexpected entry — re-fine-tune and rewrite
             obs.counter("store.repair", kind="finetune")
-    few_shot_finetune(model, train_dataset, skc_config, knowledge)
+    few_shot_finetune(model, train_dataset, skc_config, knowledge, purpose)
     if store_key is not None:
         store.put("finetune", store_key, _fusion_state(fusion))
     _report_lambdas(fusion)
@@ -223,6 +241,7 @@ def _shadow_task(args):
         name,
         train_half,
         base_knowledge,
+        purpose="crossfit",
     )
     return _fusion_state(fusion)
 

@@ -26,11 +26,13 @@ def few_shot_finetune(
     few_shot: Dataset,
     config: SKCConfig,
     knowledge: Optional[Knowledge] = None,
+    purpose: str = "finetune",
 ) -> TrainReport:
     """Fine-tune the attached adapter on the few-shot downstream data.
 
     The backbone stays frozen and the fusion speaks the rank-space
-    protocol, so the trainer runs its rank-space engine.
+    protocol, so the trainer runs its rank-space engine.  ``purpose``
+    tags the ``trainer.fit`` span: ``"crossfit"`` for an AKB shadow.
     """
     if model.adapter is None:
         raise ValueError("attach a fusion adapter before few-shot fine-tuning")
@@ -52,4 +54,4 @@ def few_shot_finetune(
             config.finetune_train_config(),
             train_base=False,
         )
-        return trainer.fit(examples)
+        return trainer.fit(examples, purpose=purpose)

@@ -113,7 +113,9 @@ def extract_patch(
         trainer = Trainer(
             worker, config.patch_train_config(), train_base=False
         )
-        trainer.fit(dataset_training_examples(dataset, knowledge))
+        trainer.fit(
+            dataset_training_examples(dataset, knowledge), purpose="patch"
+        )
         worker.detach()
         if store_key is not None:
             store.put("patch", store_key, patch.state_dict())

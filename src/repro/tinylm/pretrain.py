@@ -312,4 +312,4 @@ def pretrain(
         ),
         train_base=True,
     )
-    trainer.fit(corpus)
+    trainer.fit(corpus, purpose="pretrain")

@@ -22,7 +22,19 @@ from .. import obs
 from .linalg import rng_for
 from .model import EncodedExample, FrozenActivations, ScoringLM
 
-__all__ = ["TrainConfig", "TrainingExample", "Trainer", "StreamState"]
+__all__ = [
+    "FIT_PURPOSES",
+    "TrainConfig",
+    "TrainingExample",
+    "Trainer",
+    "StreamState",
+]
+
+#: What a :meth:`Trainer.fit` is for, as tagged on its ``trainer.fit``
+#: span and ``trainer.fits`` counter: backbone pretraining, upstream
+#: SFT, an SKC stage-1 patch, a fused few-shot fine-tune, or an AKB
+#: cross-fit shadow's fine-tune.
+FIT_PURPOSES: Tuple[str, ...] = ("pretrain", "sft", "patch", "finetune", "crossfit")
 
 
 @dataclass(frozen=True)
@@ -271,16 +283,27 @@ class Trainer:
         self._optimize(base_grads, adapter_grads)
         return loss
 
-    def fit(self, examples: Sequence[TrainingExample]) -> TrainReport:
-        """Run the configured number of epochs over ``examples``."""
+    def fit(
+        self, examples: Sequence[TrainingExample], purpose: str = "finetune"
+    ) -> TrainReport:
+        """Run the configured number of epochs over ``examples``.
+
+        ``purpose`` (one of :data:`FIT_PURPOSES`) only labels the trace.
+        """
         if not examples:
             raise ValueError("cannot fit on an empty example list")
+        if purpose not in FIT_PURPOSES:
+            raise ValueError(
+                f"unknown fit purpose {purpose!r}; expected one of "
+                + ", ".join(FIT_PURPOSES)
+            )
         use_rank = self._use_rank_space()
         with obs.span(
             "trainer.fit",
             examples=len(examples),
             epochs=self.config.epochs,
             rank_space=use_rank,
+            purpose=purpose,
         ):
             encoded = self._encode(examples)
             rng = rng_for(self.config.seed, "trainer")
@@ -305,7 +328,7 @@ class Trainer:
                     epoch_loss += loss
                     batches += 1
                 report.epoch_losses.append(epoch_loss / max(batches, 1))
-            obs.counter("trainer.fits", rank_space=use_rank)
+            obs.counter("trainer.fits", rank_space=use_rank, purpose=purpose)
             obs.counter("trainer.steps", len(report.step_losses))
         return report
 

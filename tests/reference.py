@@ -19,6 +19,11 @@ so its fast path must be *bit-identical* to the per-feature loop it
 replaced, kept here as :func:`reference_encode_sparse` (with
 :func:`reference_features` and :func:`reference_bucket`, which hash
 every feature afresh and never touch the production caches).
+
+The Table V and VI rows score each no-AKB column on the AKB fit's own
+adapter.  The one-fit-per-column rows they replaced are kept as
+:func:`reference_table5_row` and :func:`reference_table6_row`, which
+fine-tune every column's adapter from scratch.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.eval import harness
 from repro.tinylm.fusion import PatchFusion
 from repro.tinylm.lora import LoRAPatch
 from repro.tinylm.tokenizer import (
@@ -46,6 +52,8 @@ __all__ = [
     "reference_features",
     "reference_bucket",
     "reference_encode_sparse",
+    "reference_table5_row",
+    "reference_table6_row",
 ]
 
 
@@ -144,3 +152,41 @@ def reference_encode_sparse(featurizer: HashedFeaturizer, text: str) -> SparseRo
     if norm > 0.0:
         values /= norm
     return indices, values
+
+
+_ABLATION_VARIANTS = {
+    "wo_skc_akb": {"use_skc": False, "use_akb": False},
+    "wo_skc": {"use_skc": False, "use_akb": True},
+    "wo_akb": {"use_skc": True, "use_akb": False},
+    "knowtrans": {"use_skc": True, "use_akb": True},
+}
+
+
+def reference_table5_row(args) -> Dict:
+    """One Table V dataset row with a separate fit per column."""
+    ctx, dataset_id = args
+    splits = ctx.splits(dataset_id)
+    test = splits.test.examples
+    scores = {"dataset": dataset_id}
+    for label, switches in _ABLATION_VARIANTS.items():
+        scores[label] = harness.evaluate_method(
+            ctx.knowtrans(**switches).fit(splits), test, splits.task
+        )
+    return scores
+
+
+def reference_table6_row(args) -> Dict:
+    """One Table VI dataset row with a separate fit per column."""
+    ctx, dataset_id = args
+    splits = ctx.splits(dataset_id)
+    test = splits.test.examples
+    scores = {"dataset": dataset_id}
+    for strategy in ("single", "uniform", "adaptive"):
+        adapter = ctx.knowtrans(strategy=strategy, use_akb=False)
+        scores[strategy] = harness.evaluate_method(
+            adapter.fit(splits), test, splits.task
+        )
+    scores["knowtrans"] = harness.evaluate_method(
+        ctx.knowtrans().fit(splits), test, splits.task
+    )
+    return scores

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.knowtrans import KnowTrans
 from repro.eval import experiments, harness, reporting
+from tests.reference import reference_table5_row, reference_table6_row
 
 
 class TestHarness:
@@ -151,3 +153,39 @@ class TestExperiments:
         series = result["series"]["ed/beer"]
         assert len(series["eval"]) == 2
         assert len(series["test"]) == 2
+
+
+class TestOneFitPerAblationArm:
+    """Each no-AKB column is the AKB fit's adapter with seed knowledge."""
+
+    # Datasets whose four columns all differ at this context, so a
+    # column filled from the wrong fit cannot match by accident.
+    def test_table5_row_matches_four_fit_reference(self, quick_ctx):
+        args = (quick_ctx, "di/phone")
+        row = experiments._table5_row(args)
+        # Same keys, same column order, same floats.
+        assert list(row.items()) == list(reference_table5_row(args).items())
+
+    def test_table6_row_matches_four_fit_reference(self, quick_ctx):
+        args = (quick_ctx, "ed/rayyan")
+        row = experiments._table6_row(args)
+        assert list(row.items()) == list(reference_table6_row(args).items())
+
+    @pytest.mark.parametrize("use_skc", [True, False])
+    def test_without_akb_is_the_no_akb_fit(
+        self, bundle, fast_config, beer_splits, use_skc
+    ):
+        full = KnowTrans(
+            bundle, config=fast_config, use_skc=use_skc, jobs=1
+        ).fit(beer_splits)
+        view = full.without_akb()
+        plain = KnowTrans(
+            bundle, config=fast_config, use_skc=use_skc, use_akb=False, jobs=1
+        ).fit(beer_splits)
+        test = beer_splits.test.examples
+        assert view.model is full.model
+        assert view.akb_result is None and full.akb_result is not None
+        assert view.knowledge == plain.knowledge
+        assert list(view.predict_batch(test)) == list(plain.predict_batch(test))
+        assert view.fusion_weights == plain.fusion_weights
+

@@ -240,6 +240,54 @@ def test_traced_adapt_covers_all_layers(traced_adapt):
     assert "harness.evaluate" in span_names
 
 
+def _fits_by_purpose(spans):
+    purposes = {}
+    for event in spans:
+        if event["name"] == "trainer.fit":
+            purpose = event["attrs"]["purpose"]
+            purposes[purpose] = purposes.get(purpose, 0) + 1
+    return purposes
+
+
+def test_trainer_fit_spans_say_what_they_train(traced_adapt):
+    from repro.tinylm.trainer import FIT_PURPOSES
+
+    tracer, _ = traced_adapt
+    spans = _fits_by_purpose(tracer.spans)
+    counted = {}
+    for (name, attrs), value in tracer.counters.items():
+        if name == "trainer.fits":
+            purpose = dict(attrs)["purpose"]
+            counted[purpose] = counted.get(purpose, 0) + value
+    assert spans == counted
+    assert set(spans) <= set(FIT_PURPOSES)
+    # One fused fine-tune plus the two AKB cross-fit shadows; the
+    # bundle's patch fits land here too when no earlier test built them.
+    assert (spans["finetune"], spans["crossfit"]) == (1, 2)
+
+
+def test_trainer_fit_rejects_unknown_purpose(tiny_model):
+    from repro.tinylm.trainer import TrainConfig, Trainer
+
+    trainer = Trainer(tiny_model.clone(), TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="purpose"):
+        trainer.fit([object()], purpose="warmup")
+
+
+def test_traced_table5_row_fits_each_arm_once():
+    from repro.eval import experiments
+
+    ctx = experiments.ExperimentContext.quick()
+    ctx.upstream_scale = 0.3
+    ctx.prewarm()
+    tracer = obs.Tracer()
+    with obs.using_tracer(tracer):
+        experiments.table5_ablation(ctx, dataset_ids=["dc/beer"])
+    # Two AKB fits per row (SKC off, SKC on), each with two shadows;
+    # the no-AKB columns reuse those fits' adapters.
+    assert _fits_by_purpose(tracer.spans) == {"finetune": 2, "crossfit": 4}
+
+
 # ----------------------------------------------------------------------
 # CLI: the trace subcommand and console modes
 # ----------------------------------------------------------------------
