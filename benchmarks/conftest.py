@@ -8,7 +8,9 @@ artifacts on disk.
 
 Set ``REPRO_BENCH_PRESET=quick`` to run the whole harness at a reduced
 scale (used by CI); the default ``paper`` preset regenerates the tables
-at full benchmark scale.
+at full benchmark scale.  Every artifact's first line names the preset
+it was rendered at (``preset: quick``), since both presets write the
+same file names.
 """
 
 from __future__ import annotations
@@ -23,21 +25,38 @@ from repro.eval.experiments import ExperimentContext
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+def bench_preset() -> str:
+    """The preset the harness runs at: quick if ``REPRO_BENCH_PRESET=quick``."""
+    return "quick" if os.environ.get("REPRO_BENCH_PRESET") == "quick" else "paper"
+
+
+def write_result(
+    name: str,
+    text: str,
+    preset: str,
+    results_dir: pathlib.Path = RESULTS_DIR,
+) -> pathlib.Path:
+    """Write ``<name>.txt`` with ``preset: <preset>`` as its first line."""
+    results_dir.mkdir(exist_ok=True)
+    path = results_dir / f"{name}.txt"
+    path.write_text(f"preset: {preset}\n{text}\n")
+    return path
+
+
 @pytest.fixture(scope="session")
 def ctx() -> ExperimentContext:
-    preset = os.environ.get("REPRO_BENCH_PRESET", "paper")
-    if preset == "quick":
+    if bench_preset() == "quick":
         return ExperimentContext.quick()
     return ExperimentContext.paper()
 
 
 @pytest.fixture(scope="session")
 def record_result():
-    RESULTS_DIR.mkdir(exist_ok=True)
+    preset = bench_preset()
 
     def _record(name: str, text: str) -> None:
         print("\n" + text)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        write_result(name, text, preset)
 
     return _record
 

@@ -58,6 +58,14 @@ read/write the shared directory directly (every write is an atomic
 rename, so no locks are needed), while their ``store.*`` hit/miss/bytes
 counters ride the same snapshot merging as everything else — the parent
 registry ends up with whole-fleet store traffic.
+
+Fit lanes
+---------
+A dense training fit splits each step along the model's two towers
+(:func:`fit_lanes`): a one-worker thread runs the candidate tower's
+numpy calls while the calling thread runs the prompt tower.  Lanes
+open only where a second CPU is free — never inside a pool worker,
+whose siblings already hold the other cores.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ import multiprocessing
 import os
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import (
     Any,
@@ -85,6 +93,9 @@ from .perf import PERF
 
 __all__ = [
     "available_cpus",
+    "INLINE",
+    "Lanes",
+    "fit_lanes",
     "resolve_jobs",
     "fork_available",
     "WorkerPool",
@@ -137,6 +148,79 @@ def fork_available() -> bool:
         return _start_method() == "fork"
     except Exception:  # pragma: no cover - broken mp configuration
         return False
+
+
+# ----------------------------------------------------------------------
+# Fit lanes — fork-join phases of one dense training step
+# ----------------------------------------------------------------------
+# Set in pool worker processes by the executor's initializer: a worker's
+# siblings already occupy the other cores, so its fits run inline.
+_IN_WORKER = False
+
+
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
+class _Done:
+    """An already computed result with the ``Future.result`` interface."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value: Any):
+        self._value = value
+
+    def result(self) -> Any:
+        return self._value
+
+
+class Lanes:
+    """Runs a submitted function on the lane thread, or inline.
+
+    ``submit(fn, *args)`` returns an object whose ``result()`` joins the
+    lane.  Without an executor (:data:`INLINE`) the function runs at
+    once in the caller.  A lane function may only make numpy calls: it
+    must record no :mod:`repro.obs`/:data:`PERF` metrics, whose span
+    stacks are per process, and call nothing a profiler wraps.
+    """
+
+    def __init__(self, executor: Optional[ThreadPoolExecutor] = None):
+        self._executor = executor
+
+    @property
+    def count(self) -> int:
+        """Threads doing the work: 2 with a lane thread, else 1."""
+        return 1 if self._executor is None else 2
+
+    def submit(self, fn: Callable[..., Any], *args: Any):
+        if self._executor is None:
+            return _Done(fn(*args))
+        return self._executor.submit(fn, *args)
+
+
+#: The runner every caller outside a dense fit uses.
+INLINE = Lanes()
+
+
+@contextmanager
+def fit_lanes(enabled: bool = True) -> Iterator[Lanes]:
+    """A :class:`Lanes` runner for the scope of one fit.
+
+    The runner owns a one-worker thread pool when ``enabled``, at least
+    two CPUs are available and this process is not a
+    :class:`WorkerPool` worker; otherwise it is :data:`INLINE`.  The
+    lane thread is joined before the block exits, so a fork right
+    after a fit inherits no running thread.
+    """
+    if not enabled or _IN_WORKER or available_cpus() < 2:
+        yield INLINE
+        return
+    executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-lane")
+    try:
+        yield Lanes(executor)
+    finally:
+        executor.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +433,7 @@ class WorkerPool:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork"),
+                initializer=_mark_worker,
             ) as executor:
                 futures = [
                     executor.submit(_run_pickled_task, fn, blob)

@@ -42,6 +42,7 @@ import numpy as np
 
 from .. import obs
 from ..perf import PERF
+from ..runtime import INLINE, Lanes
 from .linalg import (
     relu,
     relu_grad,
@@ -355,6 +356,29 @@ def _accumulate(grads: Dict[str, np.ndarray], key: str, value) -> None:
         grads[key] = grads[key] + value
     else:
         grads[key] = value
+
+
+def _candidate_tower(
+    Yu: np.ndarray, V: np.ndarray, b: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Embedding ``(u, k)`` and answer bias ``(u,)`` of each distinct candidate."""
+    return Yu @ V.T, Yu @ b
+
+
+def _candidate_grads(
+    scale: float,
+    U: np.ndarray,
+    rows: np.ndarray,
+    dlogits: np.ndarray,
+    Y: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(dV, db)`` of the candidate tower for flat slot gradients ``dlogits``.
+
+    ``dV = scale · Σ_m dlogits_m · U_{row(m)} ⊗ Y_m`` is one matmul,
+    scaled in place.
+    """
+    dV = (U[rows] * dlogits[:, None]).T @ Y
+    return np.multiply(dV, scale, out=dV), dlogits @ Y
 
 
 def _add_rank_terms(out, inputs, adapter, target: str) -> None:
@@ -701,22 +725,25 @@ class ScoringLM:
     # ------------------------------------------------------------------
     # Forward — the one place the scoring formula lives
     # ------------------------------------------------------------------
-    def _score_flat(self, rb: RaggedBatch) -> Tuple[np.ndarray, _Cache]:
+    def _score_flat(
+        self, rb: RaggedBatch, lanes: Lanes = INLINE
+    ) -> Tuple[np.ndarray, _Cache]:
         """All candidate logits of a ragged batch via two matmuls.
 
         Encoder activations are computed once per *prompt*; candidate
         embeddings once per *distinct candidate*; :meth:`_slot_logits`
-        turns them into the flat logits.
+        turns them into the flat logits.  The candidate tower runs on
+        ``lanes`` while the prompt tower runs here; both are the same
+        BLAS calls either way.
         """
         W1 = self.effective_weight("encoder.W1")
         W2 = self.effective_weight("encoder.W2")
         V = self.effective_weight("answer.V")
-        b = self.weights["answer.b"]
+        tower = lanes.submit(_candidate_tower, rb.Yu, V, self.weights["answer.b"])
         H_pre = rb.X @ W1.T + self.weights["encoder.b1"]
         H = relu(H_pre)
         U = H @ W2.T + self.weights["encoder.b2"]
-        Vy_u = rb.Yu @ V.T  # (u, k) — one embedding per distinct candidate
-        yb_u = rb.Yu @ b
+        Vy_u, yb_u = tower.result()
         logits, overlap, Vy = self._slot_logits(rb, U, Vy_u, yb_u)
         cache = _Cache(
             batch=rb,
@@ -802,11 +829,11 @@ class ScoringLM:
         return logits, overlap, Vy
 
     def _forward(
-        self, batch: Sequence[EncodedExample]
+        self, batch: Sequence[EncodedExample], lanes: Lanes = INLINE
     ) -> Tuple[np.ndarray, _Cache]:
         """Per-example weighted CE losses plus the backward cache."""
         rb = self._ragged_from_encoded(batch)
-        logits, cache = self._score_flat(rb)
+        logits, cache = self._score_flat(rb, lanes)
         log_z = segment_logsumexp(logits, rb.offsets)
         losses = (log_z - logits[rb.target_flat]) * rb.weights
         cache.probs = segment_softmax(logits, rb.offsets)
@@ -1209,7 +1236,10 @@ class ScoringLM:
     # Backward
     # ------------------------------------------------------------------
     def loss_and_gradients(
-        self, batch: Sequence[EncodedExample], train_base: bool = True
+        self,
+        batch: Sequence[EncodedExample],
+        train_base: bool = True,
+        lanes: Lanes = INLINE,
     ) -> Tuple[float, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
         """Mean CE loss plus gradients for base weights and the adapter.
 
@@ -1217,6 +1247,8 @@ class ScoringLM:
         is empty when ``train_base`` is False and ``adapter_grads`` is
         empty when no adapter is attached.  The backward pass is fully
         vectorized over the ragged batch — no per-example Python loop.
+        The candidate tower's forward and gradients run on ``lanes``
+        while the prompt tower's run here (see ``docs/performance.md``).
         """
         if not batch:
             raise ValueError("empty batch")
@@ -1226,7 +1258,7 @@ class ScoringLM:
         # of a second dense build.
         self.bump_adapter_version()
         with PERF.timer("model.backward"):
-            losses, cache = self._forward(batch)
+            losses, cache = self._forward(batch, lanes)
             rb = cache.batch
             n = rb.n
             W2 = self.effective_weight("encoder.W2")
@@ -1235,20 +1267,19 @@ class ScoringLM:
             dlogits = cache.probs.copy()
             dlogits[rb.target_flat] -= 1.0
             dlogits *= (rb.weights / n)[rb.rows]
+            tower = lanes.submit(
+                _candidate_grads, self._scale, cache.U, rb.rows, dlogits, rb.Y
+            )
             # dU_i = scale · Σ_j dlogits_ij Vy_ij  — a segment sum.
             dU = self._scale * np.add.reduceat(
                 dlogits[:, None] * cache.Vy, starts, axis=0
             )
-            # dV = scale · Σ_m dlogits_m · U_{row(m)} ⊗ Y_m as one matmul.
-            dV_eff = self._scale * (
-                (cache.U[rb.rows] * dlogits[:, None]).T @ rb.Y
-            )
-            db_ans = dlogits @ rb.Y
             dgamma = float(dlogits @ cache.overlap)
             dH = dU @ W2
             dH_pre = dH * relu_grad(cache.H_pre)
             dW2_eff = dU.T @ cache.H
             dW1_eff = dH_pre.T @ rb.X
+            dV_eff, db_ans = tower.result()
             effective_grads = {
                 "encoder.W1": dW1_eff,
                 "encoder.W2": dW2_eff,

@@ -12,6 +12,7 @@ gradient clipping, and selective parameter groups:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
+from ..runtime import INLINE, Lanes, fit_lanes
 from .linalg import rng_for
 from .model import EncodedExample, FrozenActivations, ScoringLM
 
@@ -35,6 +37,40 @@ __all__ = [
 #: SFT, an SKC stage-1 patch, a fused few-shot fine-tune, or an AKB
 #: cross-fit shadow's fine-tune.
 FIT_PURPOSES: Tuple[str, ...] = ("pretrain", "sft", "patch", "finetune", "crossfit")
+
+#: Base parameters of the candidate tower, updated on the lane thread
+#: of a two-lane dense step while the other parameters update inline.
+LANE_PARAMS = frozenset({"answer.V", "answer.b"})
+
+#: Bytes of one array's row block in :meth:`Trainer._adam_update`:
+#: small enough that a block of the moments, the scratch buffers and
+#: the parameter stays in a core's cache between the update's passes.
+ADAM_BLOCK_BYTES = 256 * 1024
+
+
+def _row_blocks(shape: Tuple[int, ...], itemsize: int) -> Tuple[slice, ...]:
+    """Each :data:`ADAM_BLOCK_BYTES` row block of an array of ``shape``."""
+    rows = max(1, ADAM_BLOCK_BYTES // max(itemsize * math.prod(shape[1:]), 1))
+    return tuple(slice(s, s + rows) for s in range(0, shape[0], rows))
+
+
+def _adam_block(cfg, c1, c2, m, v, t, g, u, param) -> None:
+    """The moment and parameter updates of one block, in place.
+
+    ``u`` is the buffer that held the decayed or clipped gradient; it
+    may alias ``g``, which is dead once ``v`` is updated.
+    """
+    np.multiply(cfg.beta1, m, out=m)
+    np.add(m, np.multiply(1 - cfg.beta1, g, out=t), out=m)
+    np.multiply(cfg.beta2, v, out=v)
+    np.multiply(np.multiply(1 - cfg.beta2, g, out=t), g, out=t)
+    np.add(v, t, out=v)
+    np.divide(v, c2, out=t)
+    np.add(np.sqrt(t, out=t), cfg.eps, out=t)
+    np.divide(m, c1, out=u)
+    np.multiply(cfg.learning_rate, u, out=u)
+    np.divide(u, t, out=u)
+    np.subtract(param, u, out=param)
 
 
 @dataclass(frozen=True)
@@ -132,6 +168,12 @@ class Trainer:
     allocating textbook expression (see ``docs/performance.md``).  With
     tracing on, each step records its optimizer share as the
     ``trainer.optimizer_ms`` histogram.
+
+    A dense fit runs each step's forward, backward and Adam phases on
+    two lanes (:func:`repro.runtime.fit_lanes`) when a second CPU is
+    free: the candidate tower (``answer.V``, ``answer.b``) on a lane
+    thread, the prompt tower inline.  Every float is the same as with
+    one lane.
     """
 
     def __init__(
@@ -198,9 +240,13 @@ class Trainer:
             param -= lr*(m/c1) / (sqrt(v/c2) + eps)
 
         in the same order, read left to right, into the slot's reused
-        buffers, so every float is bit-identical to it.  ``grad`` is
-        never written: ``loss_and_gradients`` shares its arrays between
-        the base and adapter paths.
+        buffers, so every float is bit-identical to it.  The decay,
+        norm and clip run on whole arrays; the moment and parameter
+        updates then run block by block over :data:`ADAM_BLOCK_BYTES`
+        row blocks, which keeps each block in cache across its passes
+        and changes no float (every operation is elementwise).
+        ``grad`` is never written: ``loss_and_gradients`` shares its
+        arrays between the base and adapter paths.
         """
         cfg = self.config
         slot = self._slots.get(key)
@@ -212,27 +258,22 @@ class Trainer:
                 t=np.empty_like(param),
             )
             self._slots[key] = slot
-        m, v, t = slot.m, slot.v, slot.t
         g = grad
         if cfg.weight_decay:
-            np.multiply(cfg.weight_decay, param, out=t)
-            g = np.add(grad, t, out=slot.g)
+            np.multiply(cfg.weight_decay, param, out=slot.t)
+            g = np.add(grad, slot.t, out=slot.g)
         norm = np.linalg.norm(g)
         if cfg.grad_clip and norm > cfg.grad_clip:
             g = np.multiply(g, cfg.grad_clip / norm, out=slot.g)
         slot.step += 1
-        np.multiply(cfg.beta1, m, out=m)
-        np.add(m, np.multiply(1 - cfg.beta1, g, out=t), out=m)
-        np.multiply(cfg.beta2, v, out=v)
-        np.multiply(np.multiply(1 - cfg.beta2, g, out=t), g, out=t)
-        np.add(v, t, out=v)
-        np.divide(v, 1 - cfg.beta2**slot.step, out=t)
-        np.add(np.sqrt(t, out=t), cfg.eps, out=t)
-        # ``g`` is dead from here on, so its buffer takes the step.
-        u = np.divide(m, 1 - cfg.beta1**slot.step, out=slot.g)
-        np.multiply(cfg.learning_rate, u, out=u)
-        np.divide(u, t, out=u)
-        np.subtract(param, u, out=param)
+        c1 = 1 - cfg.beta1**slot.step
+        c2 = 1 - cfg.beta2**slot.step
+        arrays = (slot.m, slot.v, slot.t, g, slot.g, param)
+        if param.nbytes <= ADAM_BLOCK_BYTES:
+            _adam_block(cfg, c1, c2, *arrays)
+        else:
+            for rows in _row_blocks(param.shape, param.itemsize):
+                _adam_block(cfg, c1, c2, *(a[rows] for a in arrays))
 
     def _apply_adapter_grads(
         self, adapter_grads: Dict[str, np.ndarray]
@@ -249,15 +290,30 @@ class Trainer:
             if key in params:
                 self._adam_update("adapter/" + key, params[key], grad)
 
+    def _update_base(self, grads: Dict[str, np.ndarray]) -> None:
+        for name, grad in grads.items():
+            self._adam_update("base/" + name, self.model.weights[name], grad)
+
     def _optimize(
         self,
         base_grads: Dict[str, np.ndarray],
         adapter_grads: Dict[str, np.ndarray],
+        lanes: Lanes = INLINE,
     ) -> None:
-        """The optimizer half of a step, timed as ``trainer.optimizer_ms``."""
+        """The optimizer half of a step, timed as ``trainer.optimizer_ms``.
+
+        The candidate tower's base parameters update on ``lanes`` while
+        the rest update here; parameters and slots are disjoint, so the
+        order between them changes nothing.  Adapter gradients go after
+        the join.
+        """
         start = time.perf_counter() if obs.enabled() else None
-        for name, grad in base_grads.items():
-            self._adam_update("base/" + name, self.model.weights[name], grad)
+        lane_grads = {k: g for k, g in base_grads.items() if k in LANE_PARAMS}
+        tower = lanes.submit(self._update_base, lane_grads)
+        self._update_base(
+            {k: g for k, g in base_grads.items() if k not in LANE_PARAMS}
+        )
+        tower.result()
         self._apply_adapter_grads(adapter_grads)
         self.model.bump_adapter_version()
         if start is not None:
@@ -265,12 +321,14 @@ class Trainer:
                 "trainer.optimizer_ms", (time.perf_counter() - start) * 1e3
             )
 
-    def step(self, batch: Sequence[EncodedExample]) -> float:
+    def step(
+        self, batch: Sequence[EncodedExample], lanes: Lanes = INLINE
+    ) -> float:
         """One optimisation step over an encoded mini-batch."""
         loss, base_grads, adapter_grads = self.model.loss_and_gradients(
-            batch, train_base=self.train_base
+            batch, train_base=self.train_base, lanes=lanes
         )
-        self._optimize(base_grads, adapter_grads)
+        self._optimize(base_grads, adapter_grads, lanes)
         return loss
 
     def _rank_step(
@@ -289,6 +347,8 @@ class Trainer:
         """Run the configured number of epochs over ``examples``.
 
         ``purpose`` (one of :data:`FIT_PURPOSES`) only labels the trace.
+        A dense fit opens its lanes for its own scope; the span's
+        ``lanes`` attribute says whether it ran on one or two.
         """
         if not examples:
             raise ValueError("cannot fit on an empty example list")
@@ -298,12 +358,13 @@ class Trainer:
                 + ", ".join(FIT_PURPOSES)
             )
         use_rank = self._use_rank_space()
-        with obs.span(
+        with fit_lanes(enabled=not use_rank) as lanes, obs.span(
             "trainer.fit",
             examples=len(examples),
             epochs=self.config.epochs,
             rank_space=use_rank,
             purpose=purpose,
+            lanes=lanes.count,
         ):
             encoded = self._encode(examples)
             rng = rng_for(self.config.seed, "trainer")
@@ -322,7 +383,7 @@ class Trainer:
                     if frozen is not None:
                         loss = self._rank_step(frozen, idx)
                     else:
-                        loss = self.step([encoded[i] for i in idx])
+                        loss = self.step([encoded[i] for i in idx], lanes)
                     report.step_losses.append(loss)
                     obs.histogram("trainer.step_loss", loss)
                     epoch_loss += loss

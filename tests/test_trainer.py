@@ -1,16 +1,26 @@
 """Unit tests for repro.tinylm.trainer."""
 
+import os
+import subprocess
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import obs, runtime
 from repro.tinylm.fusion import PatchFusion
 from repro.tinylm.lora import LoRAPatch
 from repro.tinylm.model import ModelConfig, ScoringLM
+from repro.runtime import WorkerPool
+from repro.tinylm import trainer as trainer_module
 from repro.tinylm.trainer import TrainConfig, Trainer, TrainingExample
 from tests.reference import DenseTrainer
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_ROOT, "src")
 
 
 def _separable_examples(n=80, seed=0):
@@ -397,7 +407,10 @@ def _assert_same_arrays(got, want):
 class TestInPlaceAdam:
     """The scratch-buffer update is bit-identical and never aliases."""
 
-    @pytest.mark.parametrize("shape", [(1,), (12,), (4, 256), (24, 256)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (12,), (4, 256), (24, 256), (96, 2048), (37, 2048), (2048,)],
+    )
     @pytest.mark.parametrize("weight_decay", [0.0, 2e-5])
     @pytest.mark.parametrize("grad_clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
     def test_update_matches_reference(self, shape, weight_decay, grad_clip):
@@ -417,6 +430,15 @@ class TestInPlaceAdam:
         got, want = fast._slots["base/w"], ref._slots["base/w"]
         np.testing.assert_array_equal(got.m, want.m)
         np.testing.assert_array_equal(got.v, want.v)
+
+    def test_row_blocks_tile_the_array(self):
+        # (96, 2048) spans several blocks and (37, 2048) ends on a
+        # partial one; every row is in exactly one block.
+        for shape, blocks in [((96, 2048), 6), ((37, 2048), 3), ((2048,), 1)]:
+            got = trainer_module._row_blocks(shape, 8)
+            assert len(got) == blocks
+            rows = np.concatenate([np.arange(shape[0])[b] for b in got])
+            np.testing.assert_array_equal(rows, np.arange(shape[0]))
 
     def test_equal_shape_slots_share_no_buffer(self):
         trainer = Trainer(_tiny_model(), TrainConfig(weight_decay=2e-5))
@@ -485,3 +507,184 @@ class TestInPlaceAdam:
             )
         count, total = tracer.histograms[("trainer.optimizer_ms", ())][:2]
         assert count == len(report.step_losses) and total > 0.0
+
+
+# ----------------------------------------------------------------------
+# Two-lane dense step
+# ----------------------------------------------------------------------
+class _DenseOnlyAdapter:
+    """A LoRA patch without the rank-space protocol: trains on the dense step."""
+
+    def __init__(self, patch):
+        self._patch = patch
+
+    def __getattr__(self, name):
+        if name == "rank_components":
+            raise AttributeError(name)
+        return getattr(self._patch, name)
+
+
+@contextmanager
+def _cpus(n):
+    """Make the lane runner see ``n`` available CPUs."""
+    original = runtime.available_cpus
+    runtime.available_cpus = lambda: n
+    try:
+        yield
+    finally:
+        runtime.available_cpus = original
+
+
+def _lane_fit_state(cpus, adapter=False, train_base=True):
+    """Weights, losses and Adam slots of one dense fit seeing ``cpus`` CPUs.
+
+    Weight decay is on and the clip fires, so every branch of the update
+    runs; ``(48, 1024)`` weights span two Adam row blocks.
+    """
+    model = ScoringLM(
+        ModelConfig(name="lane-test", feature_dim=1024, hidden_dim=48, seed=4)
+    )
+    params = {}
+    if adapter:
+        patch = LoRAPatch("dense-only", model.config.target_shapes(), rank=2, seed=6)
+        model.attach(_DenseOnlyAdapter(patch))
+        params = patch.parameters()
+    config = TrainConfig(
+        epochs=2, batch_size=6, weight_decay=2e-5, grad_clip=0.05, seed=3
+    )
+    trainer = Trainer(model, config, train_base=train_base)
+    with _cpus(cpus):
+        report = trainer.fit(_separable_examples(n=30))
+    assert not report.rank_space
+    slots = {
+        key: (slot.m.copy(), slot.v.copy(), slot.step)
+        for key, slot in trainer._slots.items()
+    }
+    return model.weights, params, report.step_losses, slots
+
+
+def _assert_same_fit(got, want):
+    weights, params, losses, slots = got
+    _assert_same_arrays(weights, want[0])
+    _assert_same_arrays(params, want[1])
+    assert losses == want[2]
+    assert slots.keys() == want[3].keys()
+    for key, (m, v, step) in want[3].items():
+        np.testing.assert_array_equal(slots[key][0], m, err_msg=key)
+        np.testing.assert_array_equal(slots[key][1], v, err_msg=key)
+        assert slots[key][2] == step
+
+
+def _lane_pool_task(seed):
+    """Fit a small base model in a pool worker; return its step losses."""
+    model = ScoringLM(
+        ModelConfig(name="lane-pool", feature_dim=256, hidden_dim=24, seed=seed)
+    )
+    report = Trainer(model, TrainConfig(epochs=1, seed=seed)).fit(
+        _separable_examples(n=12, seed=seed)
+    )
+    return report.step_losses, model.weights["answer.V"]
+
+
+class TestTwoLaneStep:
+    """The two-lane dense step changes no float against the inline step."""
+
+    def test_base_fit_matches_inline(self):
+        _assert_same_fit(_lane_fit_state(2), _lane_fit_state(1))
+
+    @pytest.mark.parametrize("train_base", [True, False])
+    def test_non_rank_adapter_fit_matches_inline(self, train_base):
+        got = _lane_fit_state(2, adapter=True, train_base=train_base)
+        want = _lane_fit_state(1, adapter=True, train_base=train_base)
+        assert got[1] and (got[3].keys() >= {"adapter/" + k for k in got[1]})
+        _assert_same_fit(got, want)
+
+    def test_detected_cpus_match_inline(self):
+        # No patching: under ``taskset -c 0`` this is the inline path.
+        tracer = obs.Tracer()
+        with obs.using_tracer(tracer):
+            model = _tiny_model()
+            Trainer(model, TrainConfig(epochs=1, seed=2)).fit(
+                _separable_examples(n=12)
+            )
+        (fit,) = [s for s in tracer.spans if s["name"] == "trainer.fit"]
+        assert fit["attrs"]["lanes"] == (2 if runtime.available_cpus() >= 2 else 1)
+        inline = _tiny_model()
+        with _cpus(1):
+            Trainer(inline, TrainConfig(epochs=1, seed=2)).fit(
+                _separable_examples(n=12)
+            )
+        _assert_same_arrays(model.weights, inline.weights)
+
+    def test_two_blas_threads_match_inline(self):
+        script = (
+            "from tests.test_trainer import _lane_fit_state, _assert_same_fit\n"
+            "_assert_same_fit(_lane_fit_state(2), _lane_fit_state(1))\n"
+            "_assert_same_fit(_lane_fit_state(2, adapter=True),"
+            " _lane_fit_state(1, adapter=True))\n"
+            "print('identical')\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join([_SRC, _ROOT])
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            cwd=_ROOT,
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "identical"
+
+    def test_lane_thread_is_joined_after_fit(self):
+        baseline = threading.active_count()
+        seen = []
+        original = Trainer._optimize
+
+        def spy(self, base_grads, adapter_grads, lanes=runtime.INLINE):
+            seen.append((lanes.count, threading.active_count()))
+            return original(self, base_grads, adapter_grads, lanes)
+
+        with _cpus(2), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Trainer, "_optimize", spy)
+            Trainer(_tiny_model(), TrainConfig(epochs=1)).fit(
+                _separable_examples(n=8)
+            )
+        assert seen and all(count == 2 for count, __ in seen)
+        assert seen[-1][1] == baseline + 1
+        assert threading.active_count() == baseline
+
+    def test_pool_fork_after_base_fit_trains_in_child(self):
+        with _cpus(2):
+            Trainer(_tiny_model(), TrainConfig(epochs=1)).fit(
+                _separable_examples(n=8)
+            )
+            forked = WorkerPool(jobs=2, clamp=False).map(_lane_pool_task, [1, 2])
+        serial = [_lane_pool_task(seed) for seed in (1, 2)]
+        for (losses, weight), (want_losses, want_weight) in zip(forked, serial):
+            assert losses == want_losses and len(losses) == 3
+            np.testing.assert_array_equal(weight, want_weight)
+
+    def test_traced_two_lane_fit_records_same_metrics(self):
+        # One untraced fit warms the process-wide featurizer caches, so
+        # both traced fits see the same cache hits.
+        Trainer(_tiny_model(), TrainConfig(epochs=1)).fit(_separable_examples(n=16))
+        tracers = {}
+        for cpus in (2, 1):
+            tracers[cpus] = tracer = obs.Tracer()
+            with _cpus(cpus), obs.using_tracer(tracer):
+                Trainer(_tiny_model(), TrainConfig(epochs=2)).fit(
+                    _separable_examples(n=16)
+                )
+        two, one = tracers[2], tracers[1]
+        assert [s["name"] for s in two.spans] == [s["name"] for s in one.spans]
+        assert two.counters == one.counters
+        # Same observation counts; step losses are the same floats.
+        assert two.histograms.keys() == one.histograms.keys()
+        for key, (count, *__) in one.histograms.items():
+            assert two.histograms[key][0] == count, key
+        loss_key = ("trainer.step_loss", ())
+        assert two.histograms[loss_key] == one.histograms[loss_key]
+        (lanes2,) = [s["attrs"]["lanes"] for s in two.spans if s["name"] == "trainer.fit"]
+        (lanes1,) = [s["attrs"]["lanes"] for s in one.spans if s["name"] == "trainer.fit"]
+        assert (lanes2, lanes1) == (2, 1)
