@@ -62,6 +62,7 @@ __all__ = [
     "FrozenBatch",
     "ScoringLM",
     "LORA_TARGETS",
+    "CANDIDATE_TOWER_PARAMS",
 ]
 
 LORA_TARGETS = ("encoder.W1", "encoder.W2", "answer.V")
@@ -356,6 +357,12 @@ def _accumulate(grads: Dict[str, np.ndarray], key: str, value) -> None:
         grads[key] = grads[key] + value
     else:
         grads[key] = value
+
+
+#: Base parameters of the candidate tower: :func:`_candidate_tower`
+#: reads them and :func:`_candidate_grads` returns their gradients.  A
+#: two-lane dense step updates them on the lane thread.
+CANDIDATE_TOWER_PARAMS = frozenset({"answer.V", "answer.b"})
 
 
 def _candidate_tower(

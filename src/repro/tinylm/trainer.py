@@ -12,7 +12,6 @@ gradient clipping, and selective parameter groups:
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,7 +21,12 @@ import numpy as np
 from .. import obs
 from ..runtime import INLINE, Lanes, fit_lanes
 from .linalg import rng_for
-from .model import EncodedExample, FrozenActivations, ScoringLM
+from .model import (
+    CANDIDATE_TOWER_PARAMS,
+    EncodedExample,
+    FrozenActivations,
+    ScoringLM,
+)
 
 __all__ = [
     "FIT_PURPOSES",
@@ -37,40 +41,6 @@ __all__ = [
 #: SFT, an SKC stage-1 patch, a fused few-shot fine-tune, or an AKB
 #: cross-fit shadow's fine-tune.
 FIT_PURPOSES: Tuple[str, ...] = ("pretrain", "sft", "patch", "finetune", "crossfit")
-
-#: Base parameters of the candidate tower, updated on the lane thread
-#: of a two-lane dense step while the other parameters update inline.
-LANE_PARAMS = frozenset({"answer.V", "answer.b"})
-
-#: Bytes of one array's row block in :meth:`Trainer._adam_update`:
-#: small enough that a block of the moments, the scratch buffers and
-#: the parameter stays in a core's cache between the update's passes.
-ADAM_BLOCK_BYTES = 256 * 1024
-
-
-def _row_blocks(shape: Tuple[int, ...], itemsize: int) -> Tuple[slice, ...]:
-    """Each :data:`ADAM_BLOCK_BYTES` row block of an array of ``shape``."""
-    rows = max(1, ADAM_BLOCK_BYTES // max(itemsize * math.prod(shape[1:]), 1))
-    return tuple(slice(s, s + rows) for s in range(0, shape[0], rows))
-
-
-def _adam_block(cfg, c1, c2, m, v, t, g, u, param) -> None:
-    """The moment and parameter updates of one block, in place.
-
-    ``u`` is the buffer that held the decayed or clipped gradient; it
-    may alias ``g``, which is dead once ``v`` is updated.
-    """
-    np.multiply(cfg.beta1, m, out=m)
-    np.add(m, np.multiply(1 - cfg.beta1, g, out=t), out=m)
-    np.multiply(cfg.beta2, v, out=v)
-    np.multiply(np.multiply(1 - cfg.beta2, g, out=t), g, out=t)
-    np.add(v, t, out=v)
-    np.divide(v, c2, out=t)
-    np.add(np.sqrt(t, out=t), cfg.eps, out=t)
-    np.divide(m, c1, out=u)
-    np.multiply(cfg.learning_rate, u, out=u)
-    np.divide(u, t, out=u)
-    np.subtract(param, u, out=param)
 
 
 @dataclass(frozen=True)
@@ -240,13 +210,9 @@ class Trainer:
             param -= lr*(m/c1) / (sqrt(v/c2) + eps)
 
         in the same order, read left to right, into the slot's reused
-        buffers, so every float is bit-identical to it.  The decay,
-        norm and clip run on whole arrays; the moment and parameter
-        updates then run block by block over :data:`ADAM_BLOCK_BYTES`
-        row blocks, which keeps each block in cache across its passes
-        and changes no float (every operation is elementwise).
-        ``grad`` is never written: ``loss_and_gradients`` shares its
-        arrays between the base and adapter paths.
+        buffers, so every float is bit-identical to it.  ``grad`` is
+        never written: ``loss_and_gradients`` shares its arrays between
+        the base and adapter paths.
         """
         cfg = self.config
         slot = self._slots.get(key)
@@ -258,22 +224,27 @@ class Trainer:
                 t=np.empty_like(param),
             )
             self._slots[key] = slot
+        m, v, t = slot.m, slot.v, slot.t
         g = grad
         if cfg.weight_decay:
-            np.multiply(cfg.weight_decay, param, out=slot.t)
-            g = np.add(grad, slot.t, out=slot.g)
+            np.multiply(cfg.weight_decay, param, out=t)
+            g = np.add(grad, t, out=slot.g)
         norm = np.linalg.norm(g)
         if cfg.grad_clip and norm > cfg.grad_clip:
             g = np.multiply(g, cfg.grad_clip / norm, out=slot.g)
         slot.step += 1
-        c1 = 1 - cfg.beta1**slot.step
-        c2 = 1 - cfg.beta2**slot.step
-        arrays = (slot.m, slot.v, slot.t, g, slot.g, param)
-        if param.nbytes <= ADAM_BLOCK_BYTES:
-            _adam_block(cfg, c1, c2, *arrays)
-        else:
-            for rows in _row_blocks(param.shape, param.itemsize):
-                _adam_block(cfg, c1, c2, *(a[rows] for a in arrays))
+        np.multiply(cfg.beta1, m, out=m)
+        np.add(m, np.multiply(1 - cfg.beta1, g, out=t), out=m)
+        np.multiply(cfg.beta2, v, out=v)
+        np.multiply(np.multiply(1 - cfg.beta2, g, out=t), g, out=t)
+        np.add(v, t, out=v)
+        np.divide(v, 1 - cfg.beta2**slot.step, out=t)
+        np.add(np.sqrt(t, out=t), cfg.eps, out=t)
+        # ``g`` is dead from here on, so its buffer takes the step.
+        u = np.divide(m, 1 - cfg.beta1**slot.step, out=slot.g)
+        np.multiply(cfg.learning_rate, u, out=u)
+        np.divide(u, t, out=u)
+        np.subtract(param, u, out=param)
 
     def _apply_adapter_grads(
         self, adapter_grads: Dict[str, np.ndarray]
@@ -308,10 +279,12 @@ class Trainer:
         the join.
         """
         start = time.perf_counter() if obs.enabled() else None
-        lane_grads = {k: g for k, g in base_grads.items() if k in LANE_PARAMS}
-        tower = lanes.submit(self._update_base, lane_grads)
+        tower_grads = {
+            k: g for k, g in base_grads.items() if k in CANDIDATE_TOWER_PARAMS
+        }
+        tower = lanes.submit(self._update_base, tower_grads)
         self._update_base(
-            {k: g for k, g in base_grads.items() if k not in LANE_PARAMS}
+            {k: g for k, g in base_grads.items() if k not in tower_grads}
         )
         tower.result()
         self._apply_adapter_grads(adapter_grads)

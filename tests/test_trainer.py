@@ -15,7 +15,6 @@ from repro.tinylm.fusion import PatchFusion
 from repro.tinylm.lora import LoRAPatch
 from repro.tinylm.model import ModelConfig, ScoringLM
 from repro.runtime import WorkerPool
-from repro.tinylm import trainer as trainer_module
 from repro.tinylm.trainer import TrainConfig, Trainer, TrainingExample
 from tests.reference import DenseTrainer
 
@@ -431,15 +430,6 @@ class TestInPlaceAdam:
         np.testing.assert_array_equal(got.m, want.m)
         np.testing.assert_array_equal(got.v, want.v)
 
-    def test_row_blocks_tile_the_array(self):
-        # (96, 2048) spans several blocks and (37, 2048) ends on a
-        # partial one; every row is in exactly one block.
-        for shape, blocks in [((96, 2048), 6), ((37, 2048), 3), ((2048,), 1)]:
-            got = trainer_module._row_blocks(shape, 8)
-            assert len(got) == blocks
-            rows = np.concatenate([np.arange(shape[0])[b] for b in got])
-            np.testing.assert_array_equal(rows, np.arange(shape[0]))
-
     def test_equal_shape_slots_share_no_buffer(self):
         trainer = Trainer(_tiny_model(), TrainConfig(weight_decay=2e-5))
         rng = np.random.default_rng(0)
@@ -539,7 +529,7 @@ def _lane_fit_state(cpus, adapter=False, train_base=True):
     """Weights, losses and Adam slots of one dense fit seeing ``cpus`` CPUs.
 
     Weight decay is on and the clip fires, so every branch of the update
-    runs; ``(48, 1024)`` weights span two Adam row blocks.
+    runs.
     """
     model = ScoringLM(
         ModelConfig(name="lane-test", feature_dim=1024, hidden_dim=48, seed=4)
